@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "bench_json.hpp"
@@ -139,9 +140,9 @@ const std::vector<Pmf>& ExecPmfs() {
 }
 
 /// The robustness hot path: one ready-time query per candidate core per
-/// arrival. `now` cycles through 256 distinct values so every query misses
-/// the per-time memo and pays the full shift + truncate (+ convolve when the
-/// queue is non-empty) pipeline, exactly like successive arrivals do.
+/// arrival. `now` steps by 0.25 s through 256 values; the memo is keyed on
+/// the first surviving impulse, so queries inside one impulse gap are hits,
+/// as successive arrivals between two impulses are in a trial.
 void BM_ReadyPmf(benchmark::State& state) {
   const auto depth = static_cast<std::size_t>(state.range(0));
   const std::vector<Pmf>& execs = ExecPmfs();
@@ -159,6 +160,30 @@ void BM_ReadyPmf(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ReadyPmf)->Arg(0)->Arg(4)->Arg(8);
+
+/// BM_ReadyPmf's miss path: consecutive queries alternate between two
+/// impulse gaps of the running pmf, so every query lands on a new cut and
+/// pays the truncate (+ convolve when the queue is non-empty) pipeline.
+void BM_ReadyPmfMiss(benchmark::State& state) {
+  const auto depth = static_cast<std::size_t>(state.range(0));
+  const std::vector<Pmf>& execs = ExecPmfs();
+  CoreQueueModel model;
+  model.StartTask(ModeledTask{0, &execs[0], 1e9}, 0.0);
+  for (std::size_t i = 1; i <= depth; ++i) {
+    model.Enqueue(ModeledTask{i, &execs[i], 1e9});
+  }
+  const std::span<const ecdra::pmf::Impulse> running = execs[0].impulses();
+  const std::size_t mid = running.size() / 2;
+  // Just above the impulses at mid and mid + 1: adjacent cuts.
+  const double gap_times[2] = {running[mid].value + 1e-6,
+                               running[mid + 1].value + 1e-6};
+  const PmfOpCounters ops(state);
+  std::uint32_t step = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(model.ReadyPmf(gap_times[step++ & 1u]));
+  }
+}
+BENCHMARK(BM_ReadyPmfMiss)->Arg(0)->Arg(4)->Arg(8);
 
 void BM_ExpectedReadyTime(benchmark::State& state) {
   const std::vector<Pmf>& execs = ExecPmfs();

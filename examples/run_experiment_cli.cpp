@@ -526,10 +526,8 @@ int main(int argc, char** argv) {
       spec.econ.tiers = ParseSlaTiers(flag, next());
     } else if (flag == "--energy-price") {
       spec.econ.energy_price = ParseDouble(flag, next());
-      if (spec.econ.energy_price < 0.0) Fail("--energy-price: must be >= 0");
     } else if (flag == "--value-decay") {
       spec.econ.value_decay = ParseDouble(flag, next());
-      if (spec.econ.value_decay < 0.0) Fail("--value-decay: must be >= 0");
     } else if (flag == "--checkpoint") {
       checkpoint_path = next();
       if (checkpoint_path.empty()) Fail("--checkpoint: empty path");
@@ -565,20 +563,22 @@ int main(int argc, char** argv) {
   }
   spec.environment.budget_task_count *= budget_scale;
 
+  // Spec files and flags meet here: whichever set a knob, the runner's own
+  // checks refuse it in one line (a stream block without --stream, a
+  // negative econ knob), before a spec is printed or a trial runs.
+  sim::RunOptions run;
+  try {
+    run = sim::RunOptionsFromSpec(spec);
+  } catch (const std::invalid_argument& error) {
+    Fail(error.what());
+  }
+
   if (print_spec) {
     std::cout << policy::CanonicalSpecText(spec);
     return 0;
   }
 
   const sim::ExperimentSetup setup = sim::BuildExperimentSetup(spec);
-  sim::RunOptions run;
-  try {
-    run = sim::RunOptionsFromSpec(spec);
-  } catch (const policy::StreamSpecError& error) {
-    // Typed refusal: a stream block without --stream (or vice versa) names
-    // the incompatible fields in one line.
-    Fail(error.what());
-  }
   run.collect_counters = collect_counters;
   run.trace_path = trace_path;
   run.checkpoint_path = checkpoint_path;

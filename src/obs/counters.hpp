@@ -37,7 +37,7 @@ struct Counters {
   std::uint64_t discarded_by_other = 0;
 
   // -- CoreQueueModel --
-  /// ReadyPmf served from the per-time-step memo vs. recomputed.
+  /// ReadyPmf served from the memo vs. recomputed.
   std::uint64_t ready_pmf_hits = 0;
   std::uint64_t ready_pmf_misses = 0;
 

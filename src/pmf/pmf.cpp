@@ -577,13 +577,8 @@ TruncateResult Pmf::TruncateBelow(double t) const {
 double Pmf::TruncateBelowInPlace(double t) {
   ECDRA_REQUIRE(!empty(), "TruncateBelow of empty pmf");
   obs::Bump(&obs::Counters::pmf_truncations);
-  const Impulse* const base = impulses_.data();
-  const std::size_t n = impulses_.size();
-  std::size_t first = 0;
-  while (first < n && base[first].value < t) ++first;
-  double retained = 0.0;
-  for (std::size_t i = first; i < n; ++i) retained += base[i].prob;
-  if (first == n || retained <= kMassTolerance) {
+  const TruncationPoint cut = TruncationAt(t);
+  if (cut.delta_fallback) {
     // The model's entire predicted completion window is in the past — or
     // what survives is at most kMassTolerance, too little to renormalize
     // into a meaningful distribution: treat completion as imminent (§IV-B
@@ -592,12 +587,22 @@ double Pmf::TruncateBelowInPlace(double t) {
     // zeroed just because the Delta fallback was taken.
     impulses_.clear();
     impulses_.push_back(Impulse{t, 1.0});
-    return retained;
+    return cut.retained;
   }
-  impulses_.remove_prefix(first);
-  for (Impulse& imp : impulses_) imp.prob /= retained;
+  impulses_.remove_prefix(cut.first);
+  for (Impulse& imp : impulses_) imp.prob /= cut.retained;
   DeepCheck(*this, "truncate");
-  return retained;
+  return cut.retained;
+}
+
+Pmf::TruncationPoint Pmf::TruncationAt(double t) const noexcept {
+  const Impulse* const base = impulses_.data();
+  const std::size_t n = impulses_.size();
+  TruncationPoint cut;
+  while (cut.first < n && base[cut.first].value < t) ++cut.first;
+  for (std::size_t i = cut.first; i < n; ++i) cut.retained += base[i].prob;
+  cut.delta_fallback = cut.first == n || cut.retained <= kMassTolerance;
+  return cut;
 }
 
 double Pmf::Sample(util::RngStream& rng) const {

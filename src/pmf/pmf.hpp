@@ -113,6 +113,20 @@ class Pmf {
   /// the retained mass. Same Delta(t) fallback as TruncateBelow.
   double TruncateBelowInPlace(double t);
 
+  /// Where TruncateBelow(t) cuts this pmf. `first` indexes the first impulse
+  /// with value >= t; `retained` is the mass from `first` on, summed in
+  /// index order (the renormalization divisor); `delta_fallback` is set when
+  /// TruncateBelow(t) returns Delta(t) because nothing survives or at most
+  /// kMassTolerance does. Outside the fallback, TruncateBelow(t) depends on
+  /// t only through `first`: two times with the same cut give bit-identical
+  /// results.
+  struct TruncationPoint {
+    std::size_t first = 0;
+    double retained = 0.0;
+    bool delta_fallback = false;
+  };
+  [[nodiscard]] TruncationPoint TruncationAt(double t) const noexcept;
+
   /// Draws a sample (an impulse value) using the given stream.
   [[nodiscard]] double Sample(util::RngStream& rng) const;
 

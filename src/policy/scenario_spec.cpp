@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <cstdlib>
+#include <sstream>
 #include <stdexcept>
 #include <utility>
 
@@ -438,6 +439,20 @@ std::string FingerprintText(const ScenarioSpec& spec) {
 
 std::string SpecFingerprint(const ScenarioSpec& spec) {
   return Fnv1a64Hex(FingerprintText(spec));
+}
+
+void RequireValidEcon(const econ::EconModel& econ) {
+  const auto require_non_negative = [](std::string_view key,
+                                       std::string_view flag, double value) {
+    if (value >= 0.0) return;  // also refuses NaN
+    std::ostringstream message;
+    message << key << " (" << flag << ") must be >= 0, got " << value;
+    throw std::invalid_argument(message.str());
+  };
+  require_non_negative("run.econ.energy_price", "--energy-price",
+                       econ.energy_price);
+  require_non_negative("run.econ.value_decay", "--value-decay",
+                       econ.value_decay);
 }
 
 ScenarioSpec ParseScenarioSpec(std::string_view text) {

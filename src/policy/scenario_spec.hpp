@@ -120,6 +120,12 @@ struct ScenarioSpec {
 /// knobs; no grid/harness lines) — the checkpoint fingerprint's preimage.
 [[nodiscard]] std::string FingerprintText(const ScenarioSpec& spec);
 
+/// Throws std::invalid_argument unless run.econ.energy_price and
+/// run.econ.value_decay are >= 0. The one-line message names the spec key
+/// and its CLI flag. sim::RunOptionsFromSpec calls it, so a spec file and
+/// the command line are refused by the same check.
+void RequireValidEcon(const econ::EconModel& econ);
+
 /// FNV-1a (16 hex chars) over FingerprintText.
 [[nodiscard]] std::string SpecFingerprint(const ScenarioSpec& spec);
 

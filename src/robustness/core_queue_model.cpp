@@ -6,7 +6,12 @@
 namespace ecdra::robustness {
 
 const pmf::Pmf& CoreQueueModel::ReadyPmf(double now) const {
-  if (cache_valid_ && cached_now_ == now) {
+  // An idle core's answer, Delta(now), depends on `now` like a fallback cut.
+  const pmf::Pmf::TruncationPoint cut =
+      running_ ? running_completion_.TruncationAt(now)
+               : pmf::Pmf::TruncationPoint{.delta_fallback = true};
+  if (cache_valid_ && cached_first_ == cut.first &&
+      (!cut.delta_fallback || cached_now_ == now)) {
     obs::Bump(&obs::Counters::ready_pmf_hits);
     return cached_ready_;
   }
@@ -16,12 +21,10 @@ const pmf::Pmf& CoreQueueModel::ReadyPmf(double now) const {
     ECDRA_ASSERT(queued_.empty(), "queued tasks require a running task");
     cached_ready_ = pmf::Pmf::Delta(now);
   } else {
-    // §IV-B: completion pmf of the running task = its exec pmf shifted by
-    // its start time, with past impulses removed and the rest renormalized.
-    // All in place: scratch_ and cached_ready_ keep their storage, so a
-    // cache miss costs zero allocations.
-    scratch_ = *running_->exec;
-    scratch_.ShiftInPlace(start_time_);
+    // §IV-B: completion pmf of the running task with past impulses removed
+    // and the rest renormalized. All in place: scratch_ and cached_ready_
+    // keep their storage, so a cache miss costs zero allocations.
+    scratch_ = running_completion_;
     scratch_.TruncateBelowInPlace(now);
     if (queued_.empty()) {
       cached_ready_ = scratch_;
@@ -30,6 +33,7 @@ const pmf::Pmf& CoreQueueModel::ReadyPmf(double now) const {
                         cached_ready_);
     }
   }
+  cached_first_ = cut.first;
   cached_now_ = now;
   cache_valid_ = true;
   return cached_ready_;
@@ -48,6 +52,7 @@ void CoreQueueModel::StartTask(const ModeledTask& task, double now) {
   ECDRA_REQUIRE(!running_, "StartTask on a busy core; use Enqueue");
   running_ = task;
   start_time_ = now;
+  BuildRunningCompletion();
   InvalidateCache();
 }
 
@@ -68,6 +73,7 @@ void CoreQueueModel::Enqueue(const ModeledTask& task) {
 void CoreQueueModel::FinishRunning() {
   ECDRA_REQUIRE(running_, "FinishRunning on an idle core");
   running_.reset();
+  running_completion_ = pmf::Pmf();
   InvalidateCache();
 }
 
@@ -78,6 +84,7 @@ void CoreQueueModel::StartNext(double now) {
   queued_.pop_front();
   start_time_ = now;
   queued_mean_sum_ -= running_->exec->Expectation();
+  BuildRunningCompletion();
   RebuildSuffix();
   InvalidateCache();
 }
@@ -93,10 +100,16 @@ void CoreQueueModel::DropNext() {
 
 void CoreQueueModel::Reset() noexcept {
   running_.reset();
+  running_completion_ = pmf::Pmf();
   queued_.clear();
   queued_suffix_ = pmf::Pmf();
   queued_mean_sum_ = 0.0;
   InvalidateCache();
+}
+
+void CoreQueueModel::BuildRunningCompletion() {
+  running_completion_ = *running_->exec;
+  running_completion_.ShiftInPlace(start_time_);
 }
 
 void CoreQueueModel::RebuildSuffix() {

@@ -7,11 +7,20 @@
 //   truncate-renormalize(exec_running shifted by start, t_l)
 //     (x) exec_q1 (x) ... (x) exec_qm
 //
-// where (x) is convolution. The suffix convolution of queued-task pmfs is
-// cached (rebuilt on dequeue), so one query costs one truncation plus one
-// convolution; the resulting ready pmf is additionally memoized per query
-// time, because an immediate-mode heuristic probes every core once per
-// arrival at the same t_l.
+// where (x) is convolution. The running task's shifted pmf is built once
+// per start and the suffix convolution of queued-task pmfs is cached
+// (rebuilt on dequeue), so one query costs one truncation plus one
+// convolution.
+//
+// The resulting ready pmf is memoized. Truncating at t_l depends on t_l only
+// through `first`, the index of the first shifted impulse >= t_l
+// (pmf::Pmf::TruncationAt): the same impulses survive and are divided by the
+// same retained mass, summed in the same order. So the memo key is `first`,
+// and any later query whose t_l falls in the same inter-impulse gap is served
+// the stored pmf, bit-identical to a recomputation. Only the Delta(t_l)
+// fallback (nothing or at most kMassTolerance survives) and the idle core
+// depend on t_l itself; there the key also holds the exact t_l. Every
+// mutator drops the memo.
 //
 // Pmf pointers reference the TaskTypeTable (or any equally stable storage)
 // and must outlive the model.
@@ -77,6 +86,7 @@ class CoreQueueModel {
   void Reset() noexcept;
 
  private:
+  void BuildRunningCompletion();
   void RebuildSuffix();
   void InvalidateCache() noexcept { cache_valid_ = false; }
 
@@ -88,7 +98,13 @@ class CoreQueueModel {
   /// Sum of queued exec-pmf means, for the scalar fast path.
   double queued_mean_sum_ = 0.0;
 
+  /// The running task's exec pmf shifted by start_time_; empty when idle.
+  pmf::Pmf running_completion_;
+
   mutable pmf::Pmf cached_ready_;
+  /// Memo key: the truncation index of running_completion_, plus the exact
+  /// query time when the result depends on it (idle core, Delta fallback).
+  mutable std::size_t cached_first_ = 0;
   mutable double cached_now_ = 0.0;
   mutable bool cache_valid_ = false;
   /// Reused working pmf for the shift/truncate pipeline, so ReadyPmf and

@@ -75,6 +75,7 @@ RunOptions RunOptionsFromSpec(const policy::ScenarioSpec& spec) {
   // diagnosed here — naming the incompatible stream.* fields — instead of
   // silently ignoring the block.
   policy::RequireStreamCompatible(spec.mode, spec.stream);
+  policy::RequireValidEcon(spec.econ);
   RunOptions options;
   options.num_trials = spec.num_trials;
   options.idle_policy = spec.idle_policy;

@@ -156,7 +156,10 @@ struct RunOptions {
 /// (idle/cancel policy, transition latency, power CoV, filter options,
 /// fault model, recovery) plus num_trials and validation mode. Execution
 /// mechanics (threads, traces, checkpoint paths, retry policy) are not part
-/// of a spec and keep their defaults.
+/// of a spec and keep their defaults. Throws std::invalid_argument with a
+/// one-line diagnostic for a stream block the run mode cannot honor
+/// (policy::RequireStreamCompatible) or a negative econ knob
+/// (policy::RequireValidEcon).
 [[nodiscard]] RunOptions RunOptionsFromSpec(const policy::ScenarioSpec& spec);
 
 /// A trial that exhausted every attempt without producing a result.

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 
 namespace {
@@ -87,6 +88,35 @@ TEST(Cli, UnknownValidateModeIsRejected) {
   EXPECT_EQ(result.exit_code, 2);
   EXPECT_NE(result.output.find("valid: off, cheap, deep"), std::string::npos)
       << result.output;
+}
+
+TEST(Cli, SpecFileAndFlagsRefuseTheSameNegativeEconKnobs) {
+  // One check serves both inputs: the flag and the spec line that set the
+  // same knob are refused with the same one-line diagnostic.
+  const struct {
+    const char* flag;
+    const char* spec_line;
+  } knobs[] = {{"--energy-price -5", "run.econ.energy_price = -5"},
+               {"--value-decay -1", "run.econ.value_decay = -1"}};
+  for (const auto& knob : knobs) {
+    SCOPED_TRACE(knob.spec_line);
+    const std::string spec_path = TempPath("negative_econ");
+    const std::string write = std::string(ECDRA_CLI_PATH) +
+                              " --print-spec > " + spec_path + " && echo '" +
+                              knob.spec_line + "' >> " + spec_path;
+    ASSERT_EQ(std::system(write.c_str()), 0) << write;
+    const CliResult from_flag = RunCli(std::string(knob.flag) + " --trials 1");
+    const CliResult from_spec = RunCli("--spec " + spec_path + " --trials 1");
+    EXPECT_EQ(from_flag.exit_code, 2);
+    EXPECT_EQ(from_spec.exit_code, 2);
+    EXPECT_NE(from_flag.output.find("must be >= 0"), std::string::npos)
+        << from_flag.output;
+    EXPECT_EQ(from_flag.output, from_spec.output);
+    // One line: the only newline is the terminating one.
+    EXPECT_EQ(from_flag.output.find('\n'), from_flag.output.size() - 1)
+        << from_flag.output;
+    std::remove(spec_path.c_str());
+  }
 }
 
 TEST(Cli, CheckpointThenResumeServesTrialsFromTheFile) {

@@ -153,5 +153,20 @@ TEST(PaperConfig, CanonicalSetupIsOversubscribableButFeasible) {
   EXPECT_LT(lull_load, cores);   // undersubscribed during the lull
 }
 
+TEST(PaperTrialOpCounts, LlEnRobTrialStaysWithinItsPmfWork) {
+  // Deterministic op-count gate: trial 0 of the §VI paper setup under LL
+  // en+rob. Unlike a wall-clock bound these counts do not drift with the
+  // host, so a change that reintroduces pmf work on the robustness path
+  // fails here exactly.
+  const ExperimentSetup setup = experiment::BuildPaperSetup();
+  RunOptions options = experiment::PaperRunOptions();
+  options.collect_counters = true;
+  const TrialResult result = RunSingleTrial(setup, "LL", "en+rob", 0, options);
+  // Before the ReadyPmf memo was keyed on the truncation index (exact-time
+  // key): 14312 convolutions and 43348 ReadyPmf misses.
+  EXPECT_LE(result.counters.pmf_convolutions, 3340u);
+  EXPECT_LE(result.counters.ready_pmf_misses, 21117u);
+}
+
 }  // namespace
 }  // namespace ecdra::sim

@@ -287,6 +287,27 @@ TEST(ScenarioSpec, RunOptionsFromSpecCopiesEveryRunKnob) {
   EXPECT_EQ(options.econ, spec.econ);
 }
 
+TEST(ScenarioSpec, RunOptionsFromSpecRefusesNegativeEconKnobs) {
+  for (const char* line :
+       {"run.econ.energy_price = -5", "run.econ.value_decay = -1"}) {
+    SCOPED_TRACE(line);
+    const policy::ScenarioSpec spec = policy::ParseScenarioSpec(
+        policy::CanonicalSpecText(policy::ScenarioSpec{}) + line + "\n");
+    try {
+      (void)sim::RunOptionsFromSpec(spec);
+      ADD_FAILURE() << "accepted " << line;
+    } catch (const std::invalid_argument& error) {
+      const std::string what = error.what();
+      EXPECT_NE(what.find("must be >= 0"), std::string::npos) << what;
+      EXPECT_EQ(what.find('\n'), std::string::npos) << what;
+    }
+  }
+  policy::ScenarioSpec zero;
+  zero.econ.energy_price = 0.0;
+  zero.econ.value_decay = 0.0;
+  EXPECT_NO_THROW((void)sim::RunOptionsFromSpec(zero));
+}
+
 TEST(Fnv1a64, MatchesKnownVectors) {
   // Standard FNV-1a 64 test vectors.
   EXPECT_EQ(policy::Fnv1a64(""), 0xcbf29ce484222325ULL);
