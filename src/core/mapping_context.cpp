@@ -74,9 +74,17 @@ double MappingContext::ExpectedCompletionTime(
 double MappingContext::OnTimeProbability(const Candidate& candidate) const {
   // Batch shape: no queue ahead of the task, rho = F_exec(deadline - now).
   if (cores_.empty()) return candidate.exec->CdfAt(task_->deadline - now_);
-  return robustness::OnTimeProbability(
-      cores_[candidate.assignment.flat_core], now_, *candidate.exec,
-      task_->deadline);
+  if (on_time_.empty()) {
+    on_time_.assign(cores_.size() * cluster::kNumPStates,
+                    std::numeric_limits<double>::quiet_NaN());
+  }
+  const Assignment& at = candidate.assignment;
+  double& rho = on_time_[at.flat_core * cluster::kNumPStates + at.pstate];
+  if (std::isnan(rho)) {
+    rho = robustness::OnTimeProbability(cores_[at.flat_core], now_,
+                                        *candidate.exec, task_->deadline);
+  }
+  return rho;
 }
 
 double MappingContext::GangOnTimeProbability(

@@ -6,7 +6,7 @@
 // Stochastic quantities are evaluated through the CoreQueueModel's memoized
 // ready pmf, so a full mapping step costs at most one truncation + one
 // convolution per core regardless of how many candidates and filters touch
-// rho.
+// rho, and rho itself is memoized per candidate (core, P-state).
 #pragma once
 
 #include <limits>
@@ -80,7 +80,9 @@ class MappingContext {
   [[nodiscard]] double ExpectedCompletionTime(const Candidate& candidate) const;
 
   /// rho(i,j,k,pi,t_l,z): probability the task completes by its deadline
-  /// under this candidate assignment.
+  /// under this candidate assignment. Memoized per (core, P-state), so a
+  /// filter and a heuristic scoring the same candidate pay once; the
+  /// candidate must come from this context's candidate set.
   [[nodiscard]] double OnTimeProbability(const Candidate& candidate) const;
 
   /// Joint on-time probability of a rigid gang (src/workload/job.hpp)
@@ -151,6 +153,10 @@ class MappingContext {
   const econ::EconModel* econ_ = nullptr;
   /// Memoized ExpectedReadyTime per core (NaN = not yet computed).
   mutable std::vector<double> expected_ready_;
+  /// Memoized OnTimeProbability per (core, P-state), allocated on the first
+  /// query so heuristics that never ask for rho pay nothing (NaN = not yet
+  /// computed).
+  mutable std::vector<double> on_time_;
 };
 
 }  // namespace ecdra::core

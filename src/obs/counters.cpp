@@ -27,6 +27,7 @@ constexpr std::array kFields{
     CounterField{"pmf_prob_sum_leq", &Counters::pmf_prob_sum_leq},
     CounterField{"pmf_truncations", &Counters::pmf_truncations},
     CounterField{"pmf_max_ops", &Counters::pmf_max_ops},
+    CounterField{"pmf_gamma_cdf_evals", &Counters::pmf_gamma_cdf_evals},
     CounterField{"pstate_switches", &Counters::pstate_switches},
     CounterField{"tasks_cancelled", &Counters::tasks_cancelled},
     CounterField{"failures_injected", &Counters::failures_injected},

@@ -49,6 +49,10 @@ struct Counters {
   std::uint64_t pmf_truncations = 0;
   /// Sibling max-combines (gang stage completion pmfs; zero without jobs).
   std::uint64_t pmf_max_ops = 0;
+  /// Evaluations of the regularized incomplete gamma P(a, x). Only set-up
+  /// (the Gamma discretisation of the task-type table) evaluates it, so it
+  /// stays zero inside a trial.
+  std::uint64_t pmf_gamma_cdf_evals = 0;
 
   // -- Engine --
   /// P-state transitions actually performed (same-state requests excluded).

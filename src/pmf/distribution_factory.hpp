@@ -8,8 +8,10 @@
 #pragma once
 
 #include <cstddef>
+#include <vector>
 
 #include "pmf/pmf.hpp"
+#include "pmf/special_functions.hpp"
 
 namespace ecdra::pmf {
 
@@ -20,10 +22,34 @@ struct DiscretizeOptions {
   double tail_clip = 1e-3;
 };
 
-/// Discretizes Gamma(mean, cov) into an equal-probability-bin pmf whose
-/// impulses sit at bin-midpoint quantiles, rescaled so the pmf's expectation
-/// equals `mean` exactly. Requires mean > 0 and cov > 0.
-[[nodiscard]] Pmf DiscretizedGamma(double mean, double cov,
-                                   const DiscretizeOptions& options = {});
+/// Discretizes Gamma(mean, cov) for many means at one CoV: shape = 1/cov^2
+/// is shared, so construction certifies, once per bin probability, a window
+/// around the unit-scale quantile outside which no bisection probe needs an
+/// evaluation of P (DESIGN.md, "Gamma discretisation"). Immutable after
+/// construction; Discretize is bit-identical to bisecting every quantile
+/// with GammaQuantile.
+class GammaDiscretizer {
+ public:
+  /// Requires cov > 0, options.num_impulses >= 1 and
+  /// options.tail_clip in [0, 0.5).
+  explicit GammaDiscretizer(double cov, const DiscretizeOptions& options = {});
+
+  /// Equal-probability-bin pmf of Gamma(mean, cov) whose impulses sit at
+  /// bin-midpoint quantiles, rescaled so the pmf's expectation equals
+  /// `mean` exactly. Requires mean > 0.
+  [[nodiscard]] Pmf Discretize(double mean) const;
+
+ private:
+  struct Bin {
+    /// Midpoint probability of the bin.
+    double p;
+    QuantileWindow window;
+  };
+
+  double cov_;
+  double shape_;
+  double lgamma_shape_;
+  std::vector<Bin> bins_;
+};
 
 }  // namespace ecdra::pmf

@@ -3,37 +3,52 @@
 #include <cmath>
 #include <limits>
 
+#include "obs/counters.hpp"
 #include "util/assert.hpp"
 
 namespace ecdra::pmf {
 namespace {
 
-constexpr int kMaxIterations = 500;
 constexpr double kEps = 3.0e-14;
 constexpr double kFpMin = std::numeric_limits<double>::min() / kEps;
 
+/// Iteration budget of either expansion at shape a. Near x ≈ a the terms
+/// decay like exp(-n^2 / 2a), so both need about 7-8 sqrt(a) iterations
+/// (measured for a from 1e3 to 1e8). A fixed cap of 500 silently truncated
+/// shapes above ~4000; 16 sqrt(a) leaves a 2x margin, and the floor keeps
+/// small shapes at the old cap.
+double IterationBudget(double a) { return 500.0 + 16.0 * std::sqrt(a); }
+
 /// Series representation of P(a, x); converges quickly for x < a + 1.
-double GammaPSeries(double a, double x) {
+double GammaPSeries(double a, double x, double lgamma_a) {
+  const double budget = IterationBudget(a);
   double ap = a;
   double sum = 1.0 / a;
   double del = sum;
-  for (int i = 0; i < kMaxIterations; ++i) {
+  bool converged = false;
+  for (int i = 0; i < budget; ++i) {
     ap += 1.0;
     del *= x / ap;
     sum += del;
-    if (std::fabs(del) < std::fabs(sum) * kEps) break;
+    if (std::fabs(del) < std::fabs(sum) * kEps) {
+      converged = true;
+      break;
+    }
   }
-  return sum * std::exp(-x + a * std::log(x) - std::lgamma(a));
+  ECDRA_ASSERT(converged, "incomplete gamma series did not converge");
+  return sum * std::exp(-x + a * std::log(x) - lgamma_a);
 }
 
 /// Continued-fraction representation of Q(a, x) = 1 - P(a, x); converges
 /// quickly for x >= a + 1 (modified Lentz's method).
-double GammaQContinuedFraction(double a, double x) {
+double GammaQContinuedFraction(double a, double x, double lgamma_a) {
+  const double budget = IterationBudget(a);
   double b = x + 1.0 - a;
   double c = 1.0 / kFpMin;
   double d = 1.0 / b;
   double h = d;
-  for (int i = 1; i <= kMaxIterations; ++i) {
+  bool converged = false;
+  for (int i = 1; i <= budget; ++i) {
     const double an = -static_cast<double>(i) * (static_cast<double>(i) - a);
     b += 2.0;
     d = an * d + b;
@@ -43,19 +58,29 @@ double GammaQContinuedFraction(double a, double x) {
     d = 1.0 / d;
     const double del = d * c;
     h *= del;
-    if (std::fabs(del - 1.0) < kEps) break;
+    if (std::fabs(del - 1.0) < kEps) {
+      converged = true;
+      break;
+    }
   }
-  return std::exp(-x + a * std::log(x) - std::lgamma(a)) * h;
+  ECDRA_ASSERT(converged,
+               "incomplete gamma continued fraction did not converge");
+  return std::exp(-x + a * std::log(x) - lgamma_a) * h;
 }
 
 }  // namespace
 
 double RegularizedGammaP(double a, double x) {
+  return RegularizedGammaP(a, x, std::lgamma(a));
+}
+
+double RegularizedGammaP(double a, double x, double lgamma_a) {
   ECDRA_REQUIRE(a > 0.0, "gamma shape must be positive");
   ECDRA_REQUIRE(x >= 0.0, "incomplete gamma argument must be non-negative");
+  obs::Bump(&obs::Counters::pmf_gamma_cdf_evals);
   if (x == 0.0) return 0.0;
-  if (x < a + 1.0) return GammaPSeries(a, x);
-  return 1.0 - GammaQContinuedFraction(a, x);
+  if (x < a + 1.0) return GammaPSeries(a, x, lgamma_a);
+  return 1.0 - GammaQContinuedFraction(a, x, lgamma_a);
 }
 
 double GammaCdf(double shape, double scale, double x) {
@@ -64,21 +89,33 @@ double GammaCdf(double shape, double scale, double x) {
   return RegularizedGammaP(shape, x / scale);
 }
 
-double GammaQuantile(double shape, double scale, double p) {
+double GammaQuantile(double shape, double lgamma_shape, double scale,
+                     double p, const QuantileWindow& window) {
+  ECDRA_REQUIRE(shape > 0.0, "gamma shape must be positive");
   ECDRA_REQUIRE(scale > 0.0, "gamma scale must be positive");
   ECDRA_REQUIRE(p > 0.0 && p < 1.0, "quantile probability must be in (0,1)");
+  // GammaCdf(shape, scale, x) < p, answered from the window when the probe
+  // falls outside it.
+  const auto cdf_below_p = [&](double x) {
+    if (x <= 0.0) return true;
+    const double u = x / scale;
+    if (u <= window.below) return true;
+    if (u >= window.above) return false;
+    return RegularizedGammaP(shape, u, lgamma_shape) < p;
+  };
   // Bracket the root. The mean is shape*scale; expand geometrically.
   double lo = 0.0;
   double hi = shape * scale;
-  while (GammaCdf(shape, scale, hi) < p) {
+  while (cdf_below_p(hi)) {
     lo = hi;
     hi *= 2.0;
     ECDRA_ASSERT(hi < 1e300, "gamma quantile bracket diverged");
   }
-  // Bisection: robust and plenty fast for our offline discretization use.
+  // Bisection: robust, and with a window only the probes near the root
+  // cost an evaluation.
   for (int i = 0; i < 200; ++i) {
     const double mid = 0.5 * (lo + hi);
-    if (GammaCdf(shape, scale, mid) < p) {
+    if (cdf_below_p(mid)) {
       lo = mid;
     } else {
       hi = mid;
@@ -86,6 +123,10 @@ double GammaQuantile(double shape, double scale, double p) {
     if (hi - lo <= 1e-12 * (1.0 + hi)) break;
   }
   return 0.5 * (lo + hi);
+}
+
+double GammaQuantile(double shape, double scale, double p) {
+  return GammaQuantile(shape, std::lgamma(shape), scale, p, QuantileWindow{});
 }
 
 }  // namespace ecdra::pmf

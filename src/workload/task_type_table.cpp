@@ -17,6 +17,8 @@ TaskTypeTable::TaskTypeTable(const cluster::Cluster& cluster,
   means_.reserve(pmfs_.capacity());
   type_means_.reserve(num_types_);
 
+  // Every (type, node) shares the CoV, so one discretizer serves the table.
+  const pmf::GammaDiscretizer discretizer(exec_cov, discretize);
   double grand_sum = 0.0;
   for (std::size_t type = 0; type < num_types_; ++type) {
     double type_sum = 0.0;
@@ -24,8 +26,7 @@ TaskTypeTable::TaskTypeTable(const cluster::Cluster& cluster,
       // One discretization per (type, node); P-states reuse it with a
       // support scale, mirroring §VI's "multipliers ... scale the execution
       // time distributions".
-      const pmf::Pmf base =
-          pmf::DiscretizedGamma(etc.at(type, node), exec_cov, discretize);
+      const pmf::Pmf base = discretizer.Discretize(etc.at(type, node));
       for (cluster::PStateIndex s = 0; s < cluster::kNumPStates; ++s) {
         const double multiplier =
             cluster.node(node).pstates[s].time_multiplier;

@@ -166,6 +166,9 @@ TEST(PaperTrialOpCounts, LlEnRobTrialStaysWithinItsPmfWork) {
   // key): 14312 convolutions and 43348 ReadyPmf misses.
   EXPECT_LE(result.counters.pmf_convolutions, 3340u);
   EXPECT_LE(result.counters.ready_pmf_misses, 21117u);
+  // Before MappingContext memoized rho per (core, P-state), LL re-scored
+  // every candidate the robustness filter had scored: 272274 ProbSumLeq.
+  EXPECT_LE(result.counters.pmf_prob_sum_leq, 160132u);
 }
 
 }  // namespace

@@ -1,9 +1,15 @@
+#include <cstdint>
+#include <deque>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "core/energy_filter.hpp"
 #include "core/factory.hpp"
 #include "core/mapping_context.hpp"
 #include "core/robustness_filter.hpp"
+#include "obs/counters.hpp"
+#include "robustness/robustness.hpp"
 #include "test_support.hpp"
 #include "workload/task_type_table.hpp"
 
@@ -127,6 +133,35 @@ TEST_F(FilterTest, RobustnessFilterAtThresholdOneDropsUncertain) {
   for (const Candidate& candidate : ctx.candidates()) {
     EXPECT_DOUBLE_EQ(ctx.OnTimeProbability(candidate), 1.0);
   }
+}
+
+TEST_F(FilterTest, OnTimeProbabilityScoresEachCandidateOnce) {
+  // A filter and a heuristic both asking for rho must not pay twice: the
+  // context memoizes it per (core, P-state), with the unmemoized value.
+  std::deque<pmf::Pmf> execs;
+  for (auto& core : cores_) {
+    execs.push_back(table_.ExecPmf(0, 0, 0));
+    core.StartTask(robustness::ModeledTask{99, &execs.back(), 1e9}, 0.0);
+  }
+  task_.deadline = 250.0;
+  MappingContext ctx = Context(1e12, 10, 20.0);
+  obs::Counters counters;
+  const obs::CountersScope scope(&counters);
+  std::vector<double> first;
+  for (const Candidate& candidate : ctx.candidates()) {
+    first.push_back(ctx.OnTimeProbability(candidate));
+  }
+  const std::uint64_t scored = counters.pmf_prob_sum_leq;
+  EXPECT_EQ(scored, ctx.candidates().size());
+  for (std::size_t i = 0; i < ctx.candidates().size(); ++i) {
+    const Candidate& candidate = ctx.candidates()[i];
+    EXPECT_EQ(ctx.OnTimeProbability(candidate), first[i]);
+    EXPECT_EQ(first[i], robustness::OnTimeProbability(
+                            cores_[candidate.assignment.flat_core], 20.0,
+                            *candidate.exec, task_.deadline));
+  }
+  // The second pass above scored nothing; the direct calls scored again.
+  EXPECT_EQ(counters.pmf_prob_sum_leq, 2 * scored);
 }
 
 TEST_F(FilterTest, RobustnessFilterRejectsInvalidThreshold) {
