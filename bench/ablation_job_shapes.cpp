@@ -101,7 +101,7 @@ int main(int argc, char** argv) {
       for (const std::string& placement : placements) {
         sim::RunOptions run;
         run.num_trials = num_trials;
-        run.gang_placement = placement;
+        run.jobs_placement = placement;
         const std::vector<sim::TrialResult> results =
             sim::RunTrials(setup, "LL", "en+rob", run);
         const sim::SummaryStatistics summary = sim::SummarizeTrials(results);

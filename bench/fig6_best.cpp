@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
   // percentages can be computed from one run.
   std::vector<experiment::SeriesSpec> specs;
   for (const std::string& heuristic : core::HeuristicNames()) {
-    specs.push_back({heuristic, "none", ""});
+    specs.push_back({heuristic, "none", "", ""});
   }
   for (const experiment::SeriesSpec& spec : experiment::BestVariants()) {
     specs.push_back(spec);

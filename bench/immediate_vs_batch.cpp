@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
   sim::RunOptions immediate;
   immediate.num_trials = num_trials;
   immediate.collect_counters = true;
-  for (const std::string& heuristic : {"LL", "MECT", "SQ"}) {
+  for (const char* heuristic : {"LL", "MECT", "SQ"}) {
     add_row("immediate", heuristic + std::string(" (en+rob)"),
             sim::RunTrials(setup, heuristic, "en+rob", immediate));
   }

@@ -3,8 +3,9 @@
 // table or per-trial CSV — the entry point for scripting sweeps outside the
 // provided bench binaries.
 //
-// The CLI is a thin veneer over one declarative policy::ScenarioSpec: flags
-// edit fields of the spec, --spec FILE loads a canonical spec as the
+// The CLI is a thin veneer over one declarative policy::ScenarioSpec: each
+// spec flag sets one key through its knob-table row (policy::Knobs(), which
+// also prints its --help), --spec FILE loads a canonical spec as the
 // baseline, and --print-spec emits the effective spec (the exact text
 // --spec accepts back) instead of running — so a flag soup can be frozen
 // into a reproducible, diffable artifact. Policy names are validated
@@ -17,23 +18,25 @@
 // there — the merged run is bit-identical to an uninterrupted one. See
 // EXPERIMENTS.md, "Long runs: checkpoint, resume, watchdog".
 //
-// Every flag value is validated up front: a bad spelling or number produces
-// a one-line diagnostic naming the flag and the valid choices and exits
-// with status 2 (trial failures exit with status 1).
+// Every value is validated before anything runs: a bad spelling, number, or
+// range produces a one-line diagnostic naming the flag (or spec key) and
+// exits with status 2 (trial failures exit with status 1).
+#include <algorithm>
 #include <charconv>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "batch/batch_heuristics.hpp"
 #include "core/factory.hpp"
 #include "core/gang_placement.hpp"
-#include "econ/econ_model.hpp"
 #include "experiment/paper_config.hpp"
 #include "fault/recovery.hpp"
 #include "governor/governor.hpp"
@@ -41,12 +44,54 @@
 #include "sim/checkpoint.hpp"
 #include "sim/experiment_runner.hpp"
 #include "stats/summary.hpp"
-#include "stream/admission.hpp"
 #include "stats/table_writer.hpp"
+#include "stream/admission.hpp"
 #include "validate/validation.hpp"
-#include "workload/workload_generator.hpp"
 
 namespace {
+
+/// {is `value` registered, the registered names} for a registry-named
+/// flag; nullopt for any other. The CLI checks these names at flag time, a
+/// spec file's at trial setup.
+std::optional<std::pair<bool, std::string>> LookUpRegistry(
+    std::string_view flag, const std::string& value) {
+  using namespace ecdra;
+  const auto look_up = [&](const auto& registry) {
+    return std::pair{registry.Contains(value), registry.JoinedNames()};
+  };
+  if (flag == "--governor") return look_up(governor::GovernorRegistry());
+  if (flag == "--admission") return look_up(stream::AdmissionRegistry());
+  if (flag == "--gang-policy") return look_up(core::GangPlacementRegistry());
+  return std::nullopt;
+}
+
+/// A knob-table row's help: the flag, the spec key it sets with its default
+/// (or the value a switch sets), then the row's help lines.
+void PrintKnob(std::ostream& os, const ecdra::policy::Knob& knob,
+               const ecdra::policy::ScenarioSpec& defaults) {
+  const std::string indent(21, ' ');
+  std::string head = std::string("  ").append(knob.flag);
+  if (!knob.arg.empty()) head.append(" ").append(knob.arg);
+  os << head
+     << (head.size() < 21 ? std::string(21 - head.size(), ' ')
+                          : std::string("\n") + indent);
+  if (knob.switch_value.empty()) {
+    const std::string value = knob.get(defaults);
+    os << knob.key << " (default " << (value.empty() ? "empty" : value)
+       << ")\n";
+  } else {
+    os << knob.key << " = " << knob.switch_value << "\n";
+  }
+  for (std::string_view help = knob.help; !help.empty();) {
+    const std::size_t newline = help.find('\n');
+    os << indent << help.substr(0, newline) << "\n";
+    help.remove_prefix(newline == std::string_view::npos ? help.size()
+                                                         : newline + 1);
+  }
+  if (const auto registered = LookUpRegistry(knob.flag, "")) {
+    os << indent << "(registered: " << registered->second << ")\n";
+  }
+}
 
 void PrintUsage(std::ostream& os, const char* argv0) {
   using ecdra::core::FilterRegistry;
@@ -63,88 +108,17 @@ void PrintUsage(std::ostream& os, const char* argv0) {
      << "  --variant NAME     none, or '+'-joined registered filters\n"
      << "                     (registered: " << FilterRegistry().JoinedNames()
      << "; default en+rob)\n"
-     << "  --trials N         Monte-Carlo trials        (default 50)\n"
-     << "  --seed S           master seed               (default paper's)\n"
      << "  --budget-scale X   scale zeta_max by X       (default 1.0)\n"
-     << "  --idle POLICY      deepest | stay | gated    (default deepest)\n"
-     << "  --cancel POLICY    never | hopeless          (default never)\n"
-     << "  --rho-thresh P     robustness threshold      (default 0.5)\n"
-     << "  --fault-mtbf T     mean time to permanent core failure\n"
-     << "                     (simulated seconds; 0 = fault-free, default)\n"
-     << "  --fault-duration T mean outage before a failed core is repaired\n"
-     << "                     (0 = failures are permanent, default)\n"
-     << "  --throttle-interval T / --throttle-duration T / --throttle-floor S\n"
-     << "                     transient P-state throttling (0 = off)\n"
-     << "  --domain-mtbf T    mean time to whole-domain outage (simulated\n"
-     << "                     seconds; 0 = no domain faults, default)\n"
-     << "  --domain-repair T  mean outage before a downed domain repairs\n"
-     << "                     (0 = outages are permanent, default)\n"
-     << "  --cascade-throttle propagate per-core throttles to every core in\n"
-     << "                     the same fault domain\n"
-     << "  --fault-domains S  correlated fault-domain layout, comma-separated\n"
-     << "                     'name:lo-hi' flat-core ranges covering every\n"
-     << "                     core (default: one domain per cluster node)\n"
-     << "  --recovery POLICY  " << ecdra::fault::RecoveryPolicyNames()
-     << "  (default drop)\n"
-     << "  --governor NAME    online energy governor (registered: "
-     << ecdra::governor::GovernorRegistry().JoinedNames() << ";\n"
-     << "                     default static = the paper's open-loop run)\n"
-     << "streaming service mode (rolling energy-rate budget; src/stream):\n"
-     << "  --stream           run in streaming mode (requires --energy-rate\n"
-     << "                     or a spec with stream.energy_rate > 0)\n"
-     << "  --energy-rate R    joules per second accruing into the account\n"
-     << "  --stream-window T  rolling metrics window, simulated seconds\n"
-     << "                     (0 = derived from the environment, default)\n"
-     << "  --accrual-cap J    account ceiling in joules (0 = derived)\n"
-     << "  --admission NAME   admission policy (registered: "
-     << ecdra::stream::AdmissionRegistry().JoinedNames() << ";\n"
-     << "                     default none = admit everything)\n"
-     << "  --degraded-enter F / --degraded-exit F\n"
-     << "                     degraded-mode hysteresis on the fraction of\n"
-     << "                     cores lost to faults, 0 <= exit < enter <= 1\n"
-     << "                     (default 0.25 / 0.1)\n"
-     << "  --degraded-rho-scale X\n"
-     << "                     multiply rho admission thresholds by X while\n"
-     << "                     degraded (>= 1; default 1.5)\n"
-     << "gang jobs and precedence chains (src/workload/job.hpp):\n"
-     << "  --jobs             generate map->reduce jobs instead of\n"
-     << "                     independent tasks (stage widths/depths drawn\n"
-     << "                     from the --job-widths / --job-depths mixes)\n"
-     << "  --job-widths LIST  comma-separated width@probability classes,\n"
-     << "                     e.g. 1@0.5,4@0.5 (default 1@1)\n"
-     << "  --job-depths LIST  comma-separated depth@probability classes\n"
-     << "                     (stages per job; default 1@1)\n"
-     << "  --job-deadline-scale X\n"
-     << "                     stretch job deadlines by X relative to the\n"
-     << "                     equivalent independent-task deadline (>= 1;\n"
-     << "                     default 1)\n"
-     << "  --gang-policy NAME gang placement heuristic (registered: "
-     << ecdra::core::GangPlacementRegistry().JoinedNames() << ";\n"
-     << "                     default pack)\n"
-     << "economics and SLA tiers (src/econ):\n"
-     << "  --econ             attach the econ model: tasks carry value and\n"
-     << "                     an SLA tier, trials meter revenue against the\n"
-     << "                     energy bill (try heuristic econ-greedy,\n"
-     << "                     filter ...+sla, admission value-density,\n"
-     << "                     governor profit-guard)\n"
-     << "  --econ-values LIST comma-separated per-type revenue values,\n"
-     << "                     cycled over task types (e.g. 1,5,20;\n"
-     << "                     default 1)\n"
-     << "  --sla-tiers LIST   comma-separated name@vmult@smult@rhofloor@prob\n"
-     << "                     tiers, e.g. gold@3@2@0.9@0.2,be@1@1@0@0.8\n"
-     << "                     (default: one neutral tier)\n"
-     << "  --energy-price X   price charged per joule drawn (default 0 =\n"
-     << "                     free energy)\n"
-     << "  --value-decay W    late finishes earn linearly decaying revenue\n"
-     << "                     over W simulated seconds past the deadline\n"
-     << "                     (default 0 = late earns nothing)\n"
      << "  --list-policies    print every registered heuristic, filter,\n"
      << "                     batch heuristic, governor, admission, gang\n"
      << "                     placement, and recovery policy, then exit\n"
-     << "  --validate MODE    off | cheap | deep runtime invariant checks\n"
-     << "                     (default off; violations are recorded, not\n"
-     << "                     fatal)\n"
-     << "output / crash-safe harness (not part of the spec):\n"
+     << "spec knobs (each flag sets the spec key shown):\n";
+  const ecdra::policy::ScenarioSpec defaults =
+      ecdra::experiment::PaperScenario();
+  for (const ecdra::policy::Knob& knob : ecdra::policy::Knobs()) {
+    if (!knob.flag.empty()) PrintKnob(os, knob, defaults);
+  }
+  os << "output / crash-safe harness (not part of the spec):\n"
      << "  --csv              per-trial CSV instead of the summary table\n"
      << "  --counters         collect per-trial scheduler counters and\n"
      << "                     print the cross-trial aggregate\n"
@@ -171,140 +145,19 @@ void PrintUsage(std::ostream& os, const char* argv0) {
   std::exit(2);
 }
 
-/// Strict numeric parsing: the whole value must be consumed, no locale, no
-/// silent truncation — "10x", "", and "1e999" all fail with a diagnostic.
-std::uint64_t ParseUint64(std::string_view flag, const std::string& value) {
-  std::uint64_t parsed = 0;
+/// Strict numeric parsing for the flags outside the spec: the whole value
+/// must be consumed, no locale, no silent truncation — "10x", "", and
+/// "1e999" all fail with a diagnostic.
+template <typename T>
+T ParseNumber(std::string_view flag, const std::string& value) {
+  T parsed{};
   const auto [ptr, ec] =
       std::from_chars(value.data(), value.data() + value.size(), parsed);
   if (ec != std::errc() || ptr != value.data() + value.size() ||
       value.empty()) {
-    Fail(std::string(flag) + ": '" + value +
-         "' is not a non-negative integer");
+    Fail(std::string(flag) + " '" + value + "': expected a number");
   }
   return parsed;
-}
-
-double ParseDouble(std::string_view flag, const std::string& value) {
-  double parsed = 0.0;
-  const auto [ptr, ec] =
-      std::from_chars(value.data(), value.data() + value.size(), parsed);
-  if (ec != std::errc() || ptr != value.data() + value.size() ||
-      value.empty()) {
-    Fail(std::string(flag) + ": '" + value + "' is not a number");
-  }
-  return parsed;
-}
-
-double ParseNonNegative(std::string_view flag, const std::string& value) {
-  const double parsed = ParseDouble(flag, value);
-  if (parsed < 0.0) {
-    Fail(std::string(flag) + ": '" + value + "' must be >= 0");
-  }
-  return parsed;
-}
-
-/// "value@probability,value@probability" -> shape classes, the CLI-side
-/// mirror of the spec's env.workload.jobs.widths/.depths syntax. Values must
-/// be >= 1 (a width-0 gang or depth-0 chain is meaningless); probabilities
-/// must be > 0 — the generator normalizes them, so 1@3,4@1 reads "3:1 odds".
-std::vector<ecdra::workload::ShapeClass> ParseShapeClasses(
-    std::string_view flag, const std::string& value) {
-  std::vector<ecdra::workload::ShapeClass> classes;
-  std::size_t start = 0;
-  while (start <= value.size()) {
-    const std::size_t comma = value.find(',', start);
-    const std::string token =
-        value.substr(start, comma == std::string::npos ? std::string::npos
-                                                       : comma - start);
-    const std::size_t at = token.find('@');
-    if (at == std::string::npos) {
-      Fail(std::string(flag) + ": '" + token +
-           "' is not a value@probability class (e.g. 4@0.5)");
-    }
-    const std::uint64_t shape = ParseUint64(flag, token.substr(0, at));
-    const double probability = ParseDouble(flag, token.substr(at + 1));
-    if (shape == 0) Fail(std::string(flag) + ": shape values must be >= 1");
-    if (probability <= 0.0) {
-      Fail(std::string(flag) + ": class probabilities must be > 0");
-    }
-    classes.push_back(ecdra::workload::ShapeClass{
-        static_cast<std::size_t>(shape), probability});
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  if (classes.empty()) Fail(std::string(flag) + ": empty class list");
-  return classes;
-}
-
-/// "1,5,20" -> per-type value table (env.econ.values syntax). Values must
-/// be >= 0; the model cycles the list over task types.
-std::vector<double> ParseEconValues(std::string_view flag,
-                                    const std::string& value) {
-  std::vector<double> values;
-  std::size_t start = 0;
-  while (start <= value.size()) {
-    const std::size_t comma = value.find(',', start);
-    const std::string token =
-        value.substr(start, comma == std::string::npos ? std::string::npos
-                                                       : comma - start);
-    const double v = ParseDouble(flag, token);
-    if (v < 0.0) Fail(std::string(flag) + ": values must be >= 0");
-    values.push_back(v);
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  if (values.empty()) Fail(std::string(flag) + ": empty value list");
-  return values;
-}
-
-/// "gold@3@2@0.9@0.2,be@1@1@0@0.8" -> SLA tiers (env.econ.tiers syntax):
-/// name @ value multiplier @ fair-share multiplier @ rho floor @ mix
-/// probability. The generator normalizes probabilities.
-std::vector<ecdra::econ::SlaTier> ParseSlaTiers(std::string_view flag,
-                                                const std::string& value) {
-  std::vector<ecdra::econ::SlaTier> tiers;
-  std::size_t start = 0;
-  while (start <= value.size()) {
-    const std::size_t comma = value.find(',', start);
-    std::string token =
-        value.substr(start, comma == std::string::npos ? std::string::npos
-                                                       : comma - start);
-    std::vector<std::string> parts;
-    std::size_t part_start = 0;
-    while (part_start <= token.size()) {
-      const std::size_t at = token.find('@', part_start);
-      parts.push_back(token.substr(
-          part_start,
-          at == std::string::npos ? std::string::npos : at - part_start));
-      if (at == std::string::npos) break;
-      part_start = at + 1;
-    }
-    if (parts.size() != 5 || parts[0].empty()) {
-      Fail(std::string(flag) + ": '" + token +
-           "' is not a name@vmult@smult@rhofloor@prob tier");
-    }
-    ecdra::econ::SlaTier tier;
-    tier.name = parts[0];
-    tier.value_multiplier = ParseDouble(flag, parts[1]);
-    tier.share_multiplier = ParseDouble(flag, parts[2]);
-    tier.rho_floor = ParseDouble(flag, parts[3]);
-    tier.probability = ParseDouble(flag, parts[4]);
-    if (tier.value_multiplier < 0.0 || tier.share_multiplier < 0.0) {
-      Fail(std::string(flag) + ": tier multipliers must be >= 0");
-    }
-    if (tier.rho_floor < 0.0 || tier.rho_floor > 1.0) {
-      Fail(std::string(flag) + ": rho floors must be in [0, 1]");
-    }
-    if (tier.probability <= 0.0) {
-      Fail(std::string(flag) + ": tier probabilities must be > 0");
-    }
-    tiers.push_back(std::move(tier));
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  if (tiers.empty()) Fail(std::string(flag) + ": empty tier list");
-  return tiers;
 }
 
 }  // namespace
@@ -333,6 +186,7 @@ int main(int argc, char** argv) {
   // Split "--flag=value" into a flag and an inline value; "--flag value"
   // consumes the next argument instead.
   const std::vector<std::string> args(argv + 1, argv + argc);
+  const std::span<const policy::Knob> knobs = policy::Knobs();
   for (std::size_t i = 0; i < args.size(); ++i) {
     std::string flag = args[i];
     std::optional<std::string> inline_value;
@@ -382,8 +236,9 @@ int main(int argc, char** argv) {
     } else if (flag == "--heuristic") {
       heuristic = next();
       if (!core::HeuristicRegistry().Contains(heuristic)) {
-        Fail("--heuristic: unknown heuristic '" + heuristic + "' (registered: " +
-             core::HeuristicRegistry().JoinedNames() + ")");
+        Fail("--heuristic: unknown heuristic '" + heuristic +
+             "' (registered: " + core::HeuristicRegistry().JoinedNames() +
+             ")");
       }
     } else if (flag == "--variant") {
       variant = next();
@@ -395,33 +250,9 @@ int main(int argc, char** argv) {
         Fail("--variant: " + std::string(error.what()) +
              "; compose filters with '+', e.g. en+rob");
       }
-    } else if (flag == "--trials") {
-      spec.num_trials = static_cast<std::size_t>(ParseUint64(flag, next()));
-      if (spec.num_trials == 0) Fail("--trials: must be >= 1");
-    } else if (flag == "--seed") {
-      spec.master_seed = ParseUint64(flag, next());
     } else if (flag == "--budget-scale") {
-      budget_scale = ParseDouble(flag, next());
-      if (budget_scale <= 0.0) Fail("--budget-scale: must be > 0");
-    } else if (flag == "--idle") {
-      const std::string value = next();
-      const auto parsed = policy::ParseIdlePolicy(value);
-      if (!parsed) {
-        Fail("--idle: unknown policy '" + value +
-             "' (valid: deepest, stay, gated)");
-      }
-      spec.idle_policy = *parsed;
-    } else if (flag == "--cancel") {
-      const std::string value = next();
-      const auto parsed = policy::ParseCancelPolicy(value);
-      if (!parsed) {
-        Fail("--cancel: unknown policy '" + value +
-             "' (valid: never, hopeless)");
-      }
-      spec.cancel_policy = *parsed;
-    } else if (flag == "--rho-thresh") {
-      spec.filter_options.robustness_threshold =
-          ParseNonNegative(flag, next());
+      budget_scale = ParseNumber<double>(flag, next());
+      if (!(budget_scale > 0.0)) Fail("--budget-scale: must be > 0");
     } else if (flag == "--csv") {
       csv = true;
     } else if (flag == "--counters") {
@@ -429,105 +260,6 @@ int main(int argc, char** argv) {
     } else if (flag == "--trace-out") {
       trace_path = next();
       collect_counters = true;
-    } else if (flag == "--fault-mtbf") {
-      spec.fault.mtbf = ParseNonNegative(flag, next());
-    } else if (flag == "--fault-duration") {
-      spec.fault.repair_time = ParseNonNegative(flag, next());
-    } else if (flag == "--throttle-interval") {
-      spec.fault.throttle_interval = ParseNonNegative(flag, next());
-    } else if (flag == "--throttle-duration") {
-      spec.fault.throttle_duration = ParseNonNegative(flag, next());
-    } else if (flag == "--throttle-floor") {
-      spec.fault.throttle_floor =
-          static_cast<std::size_t>(ParseUint64(flag, next()));
-      if (spec.fault.throttle_floor >= cluster::kNumPStates) {
-        Fail("--throttle-floor: must be < " +
-             std::to_string(cluster::kNumPStates));
-      }
-    } else if (flag == "--domain-mtbf") {
-      spec.fault.domain_mtbf = ParseNonNegative(flag, next());
-    } else if (flag == "--domain-repair") {
-      spec.fault.domain_repair_time = ParseNonNegative(flag, next());
-    } else if (flag == "--cascade-throttle") {
-      spec.fault.cascade_throttle = true;
-    } else if (flag == "--fault-domains") {
-      // Validated against the sampled cluster at trial setup
-      // (fault::ResolveFaultDomains); the CLI only carries the text.
-      spec.fault_domains = next();
-    } else if (flag == "--recovery") {
-      const std::string value = next();
-      try {
-        spec.recovery = fault::ParseRecoveryPolicy(value);
-      } catch (const std::invalid_argument&) {
-        Fail("--recovery: unknown policy '" + value + "' (valid: " +
-             std::string(fault::RecoveryPolicyNames()) + ")");
-      }
-    } else if (flag == "--governor") {
-      spec.governor = next();
-      if (!governor::GovernorRegistry().Contains(spec.governor)) {
-        Fail("--governor: unknown governor '" + spec.governor +
-             "' (registered: " + governor::GovernorRegistry().JoinedNames() +
-             ")");
-      }
-    } else if (flag == "--stream") {
-      spec.mode = policy::RunMode::kStream;
-    } else if (flag == "--energy-rate") {
-      spec.stream.energy_rate = ParseNonNegative(flag, next());
-      if (spec.stream.energy_rate == 0.0) {
-        Fail("--energy-rate: must be > 0");
-      }
-    } else if (flag == "--stream-window") {
-      spec.stream.window_length = ParseNonNegative(flag, next());
-    } else if (flag == "--accrual-cap") {
-      spec.stream.accrual_cap = ParseNonNegative(flag, next());
-    } else if (flag == "--admission") {
-      spec.stream.admission = next();
-      if (!stream::AdmissionRegistry().Contains(spec.stream.admission)) {
-        Fail("--admission: unknown policy '" + spec.stream.admission +
-             "' (registered: " + stream::AdmissionRegistry().JoinedNames() +
-             ")");
-      }
-    } else if (flag == "--degraded-enter") {
-      spec.stream.degraded_enter_fraction = ParseNonNegative(flag, next());
-    } else if (flag == "--degraded-exit") {
-      spec.stream.degraded_exit_fraction = ParseNonNegative(flag, next());
-    } else if (flag == "--degraded-rho-scale") {
-      spec.stream.degraded_rho_scale = ParseNonNegative(flag, next());
-      if (spec.stream.degraded_rho_scale < 1.0) {
-        Fail("--degraded-rho-scale: must be >= 1");
-      }
-    } else if (flag == "--jobs") {
-      spec.environment.workload.jobs.enabled = true;
-    } else if (flag == "--job-widths") {
-      spec.environment.workload.jobs.widths = ParseShapeClasses(flag, next());
-    } else if (flag == "--job-depths") {
-      spec.environment.workload.jobs.depths = ParseShapeClasses(flag, next());
-    } else if (flag == "--job-deadline-scale") {
-      spec.environment.workload.jobs.deadline_scale =
-          ParseNonNegative(flag, next());
-      if (spec.environment.workload.jobs.deadline_scale < 1.0) {
-        Fail("--job-deadline-scale: must be >= 1");
-      }
-    } else if (flag == "--gang-policy") {
-      spec.jobs_placement = next();
-      if (!core::GangPlacementRegistry().Contains(spec.jobs_placement)) {
-        Fail("--gang-policy: unknown placement '" + spec.jobs_placement +
-             "' (registered: " +
-             core::GangPlacementRegistry().JoinedNames() + ")");
-      }
-    } else if (flag == "--econ") {
-      spec.econ_enabled = true;
-      // A bare --econ should meter something: default every type to unit
-      // value unless --econ-values overrides it.
-      if (spec.econ.type_values.empty()) spec.econ.type_values = {1.0};
-    } else if (flag == "--econ-values") {
-      spec.econ.type_values = ParseEconValues(flag, next());
-    } else if (flag == "--sla-tiers") {
-      spec.econ.tiers = ParseSlaTiers(flag, next());
-    } else if (flag == "--energy-price") {
-      spec.econ.energy_price = ParseDouble(flag, next());
-    } else if (flag == "--value-decay") {
-      spec.econ.value_decay = ParseDouble(flag, next());
     } else if (flag == "--checkpoint") {
       checkpoint_path = next();
       if (checkpoint_path.empty()) Fail("--checkpoint: empty path");
@@ -537,17 +269,29 @@ int main(int argc, char** argv) {
       resume = true;
       salvage = true;
     } else if (flag == "--trial-timeout") {
-      trial_timeout = ParseNonNegative(flag, next());
+      trial_timeout = ParseNumber<double>(flag, next());
+      if (!(trial_timeout >= 0.0)) Fail("--trial-timeout: must be >= 0");
     } else if (flag == "--max-retries") {
-      max_attempts = 1 + static_cast<std::size_t>(ParseUint64(flag, next()));
-    } else if (flag == "--validate") {
-      const std::string value = next();
-      const auto mode = validate::ParseValidationMode(value);
-      if (!mode) {
-        Fail("--validate: unknown mode '" + value +
-             "' (valid: off, cheap, deep)");
+      max_attempts = 1 + ParseNumber<std::size_t>(flag, next());
+    } else if (const auto knob = std::ranges::find(knobs, flag,
+                                                   &policy::Knob::flag);
+               knob != knobs.end()) {
+      // Every other flag sets one spec key through its knob-table row;
+      // ranges are checked once all flags are in (RunOptionsFromSpec).
+      const std::string value = knob->switch_value.empty()
+                                    ? next()
+                                    : std::string(knob->switch_value);
+      try {
+        knob->set(spec, value);
+      } catch (const std::invalid_argument& error) {
+        Fail(flag + " '" + value + "': " + error.what());
       }
-      spec.validation = *mode;
+      if (knob->on_switch != nullptr) knob->on_switch(spec);
+      if (const auto registered = LookUpRegistry(flag, value);
+          registered && !registered->first) {
+        Fail(flag + " '" + value + "': not registered (registered: " +
+             registered->second + ")");
+      }
     } else {
       std::cerr << "run_experiment_cli: unknown flag '" << args[i] << "'\n";
       PrintUsage(std::cerr, argv[0]);
@@ -564,8 +308,8 @@ int main(int argc, char** argv) {
   spec.environment.budget_task_count *= budget_scale;
 
   // Spec files and flags meet here: whichever set a knob, the runner's own
-  // checks refuse it in one line (a stream block without --stream, a
-  // negative econ knob), before a spec is printed or a trial runs.
+  // checks refuse it in one line (a value out of its range, a stream block
+  // without --stream), before a spec is printed or a trial runs.
   sim::RunOptions run;
   try {
     run = sim::RunOptionsFromSpec(spec);
@@ -702,7 +446,7 @@ int main(int argc, char** argv) {
               << summary.mean_emergency_seconds << " s\n";
   }
   if (summary.job_trials > 0) {
-    std::cout << "  jobs (placement=" << run.gang_placement
+    std::cout << "  jobs (placement=" << run.jobs_placement
               << "): mean on time " << summary.mean_jobs_on_time
               << ", failed " << summary.mean_jobs_failed
               << ", gangs placed " << summary.mean_gangs_placed
@@ -717,7 +461,8 @@ int main(int argc, char** argv) {
               << " (offered " << summary.mean_value_offered << ")\n";
   }
   if (run.validation != validate::ValidationMode::kOff) {
-    std::cout << "  validation (" << validate::ValidationModeName(run.validation)
+    std::cout << "  validation ("
+              << validate::ValidationModeName(run.validation)
               << "): " << summary.validation_checks << " checks, "
               << summary.validation_violations << " violations\n";
   }

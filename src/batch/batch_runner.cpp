@@ -11,6 +11,7 @@
 namespace ecdra::batch {
 
 BatchRunOptions BatchRunOptionsFromSpec(const policy::ScenarioSpec& spec) {
+  policy::RequireValidSpec(spec);  // the same range check as the CLI
   // Typed refusal: batch mode cannot honor a streaming scenario, whatever
   // run.mode says — the diagnostic names the offending stream.* fields.
   policy::RequireStreamCompatible(policy::RunMode::kBatch, spec.stream);

@@ -31,8 +31,9 @@ struct BatchRunOptions {
 };
 
 /// The BatchRunOptions a ScenarioSpec describes (the shared result-shaping
-/// knobs; batch mode has no fault/governor/stream machinery). A spec whose
-/// stream block is non-default is refused with a typed one-line
+/// knobs; batch mode has no fault/governor/stream machinery). A knob out of
+/// range is refused by policy::RequireValidSpec, and a spec whose stream
+/// block is non-default is refused with a typed one-line
 /// policy::StreamSpecError naming the incompatible fields — batch mode
 /// plans the whole window against a fixed budget and cannot honor a
 /// replenishing account.

@@ -1,49 +1,498 @@
 #include "policy/scenario_spec.hpp"
 
+#include <algorithm>
+#include <array>
 #include <charconv>
-#include <cstdlib>
-#include <sstream>
+#include <concepts>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 
 #include "obs/json.hpp"
 
 namespace ecdra::policy {
+namespace {
 
-std::string_view IdlePolicyName(IdlePolicy policy) noexcept {
-  switch (policy) {
-    case IdlePolicy::kDeepestPState:
-      return "deepest";
-    case IdlePolicy::kStayAtLast:
-      return "stay";
-    case IdlePolicy::kPowerGated:
-      return "gated";
+constexpr std::string_view kHeaderLine = "ecdra-scenario v1";
+// Fingerprint versions: v2 added run.governor; v3 run.mode and stream.*;
+// v4 the fault domains (run.fault.domain_*, run.fault.domains) and
+// stream.degraded_*; v5 the job block (env.workload.jobs.*,
+// run.jobs.placement); v6 the econ block (env.econ.*, run.econ.*). Each bump
+// changes every fingerprint, which is exactly right: an older checkpoint
+// cannot attest what the new keys did to its trials.
+constexpr std::string_view kFingerprintHeaderLine =
+    "ecdra-scenario-fingerprint v6";
+
+/// Strips leading blanks and trailing blanks and carriage returns.
+std::string_view Trim(std::string_view text) {
+  const std::size_t last = text.find_last_not_of(" \t\r");
+  if (last == std::string_view::npos) return {};
+  text = text.substr(0, last + 1);
+  return text.substr(text.find_first_not_of(" \t"));
+}
+
+// -- Value codecs, chosen by field type. Write gives the canonical text;
+// Read parses it or throws std::invalid_argument saying what it expected.
+
+std::string Write(double value) { return obs::json::Number(value); }
+std::string Write(bool value) { return value ? "true" : "false"; }
+std::string Write(const std::string& value) { return value; }
+template <std::unsigned_integral T>
+std::string Write(T value) {
+  return std::to_string(value);
+}
+
+/// Strict: the whole value must parse, so "10x", "" and "1e999" fail.
+template <typename T>
+void ReadNumber(std::string_view text, T& out, const char* expected) {
+  const auto [ptr, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), out);
+  if (text.empty() || ec != std::errc() || ptr != text.data() + text.size()) {
+    throw std::invalid_argument(expected);
   }
-  return "deepest";
 }
-
-std::optional<IdlePolicy> ParseIdlePolicy(std::string_view name) noexcept {
-  if (name == "deepest") return IdlePolicy::kDeepestPState;
-  if (name == "stay") return IdlePolicy::kStayAtLast;
-  if (name == "gated") return IdlePolicy::kPowerGated;
-  return std::nullopt;
+void Read(std::string_view text, double& out) {
+  ReadNumber(text, out, "expected a number");
 }
-
-std::string_view CancelPolicyName(CancelPolicy policy) noexcept {
-  switch (policy) {
-    case CancelPolicy::kRunToCompletion:
-      return "never";
-    case CancelPolicy::kCancelHopelessQueued:
-      return "hopeless";
+template <std::unsigned_integral T>
+void Read(std::string_view text, T& out) {
+  std::uint64_t parsed = 0;
+  ReadNumber(text, parsed, "expected a non-negative integer");
+  out = static_cast<T>(parsed);
+}
+void Read(std::string_view text, bool& out) {
+  if (text != "true" && text != "false") {
+    throw std::invalid_argument("expected true or false");
   }
-  return "never";
+  out = text == "true";
+}
+void Read(std::string_view text, std::string& out) { out = text; }
+
+/// The spec names of each spec-selectable enum.
+template <typename E, std::size_t N>
+using NameTable = std::array<std::pair<std::string_view, E>, N>;
+
+template <typename E, typename... More>
+NameTable<E, 1 + sizeof...(More)> Named(auto name, E first, More... more) {
+  return {{{name(first), first}, {name(more), more}...}};
+}
+constexpr NameTable<IdlePolicy, 3> EnumNames(IdlePolicy) {
+  return {{{"deepest", IdlePolicy::kDeepestPState},
+           {"stay", IdlePolicy::kStayAtLast},
+           {"gated", IdlePolicy::kPowerGated}}};
+}
+constexpr NameTable<CancelPolicy, 2> EnumNames(CancelPolicy) {
+  return {{{"never", CancelPolicy::kRunToCompletion},
+           {"hopeless", CancelPolicy::kCancelHopelessQueued}}};
+}
+constexpr NameTable<fault::LifetimeDistribution, 2> EnumNames(
+    fault::LifetimeDistribution) {
+  return {{{"exponential", fault::LifetimeDistribution::kExponential},
+           {"weibull", fault::LifetimeDistribution::kWeibull}}};
+}
+auto EnumNames(fault::RecoveryPolicy) {
+  using enum fault::RecoveryPolicy;
+  return Named(fault::RecoveryPolicyName, kDropQueued, kRequeueToScheduler,
+               kMigrateQueued);
+}
+// Batch mode is a stack, not a spec-selectable trial mode.
+auto EnumNames(RunMode) {
+  return Named(RunModeName, RunMode::kFixedTrace, RunMode::kStream);
+}
+auto EnumNames(validate::ValidationMode) {
+  using enum validate::ValidationMode;
+  return Named(validate::ValidationModeName, kOff, kCheap, kDeep);
 }
 
-std::optional<CancelPolicy> ParseCancelPolicy(std::string_view name) noexcept {
-  if (name == "never") return CancelPolicy::kRunToCompletion;
-  if (name == "hopeless") return CancelPolicy::kCancelHopelessQueued;
-  return std::nullopt;
+template <typename E>
+  requires std::is_enum_v<E>
+std::string Write(E value) {
+  for (const auto& [name, named] : EnumNames(value)) {
+    if (named == value) return std::string(name);
+  }
+  return {};
 }
+template <typename E>
+  requires std::is_enum_v<E>
+void Read(std::string_view text, E& out) {
+  std::string valid;
+  for (const auto& [name, value] : EnumNames(out)) {
+    if (name == text) {
+      out = value;
+      return;
+    }
+    valid += (valid.empty() ? "" : ", ") + std::string(name);
+  }
+  throw std::invalid_argument("unknown value (valid: " + valid + ")");
+}
+
+/// Splits an '@'-joined list element into exactly N parts.
+template <std::size_t N>
+std::array<std::string_view, N> Parts(std::string_view token,
+                                      const char* expected) {
+  std::array<std::string_view, N> parts;
+  for (std::size_t i = 0; i < N; ++i) {
+    const std::size_t at = token.find('@');
+    if ((at == std::string_view::npos) != (i + 1 == N)) {
+      throw std::invalid_argument(expected);
+    }
+    parts[i] = token.substr(0, at);
+    token.remove_prefix(i + 1 == N ? token.size() : at + 1);
+  }
+  return parts;
+}
+
+std::string Write(const workload::ArrivalPhase& phase) {
+  return Write(phase.num_tasks) + "@" + Write(phase.rate);
+}
+void Read(std::string_view text, workload::ArrivalPhase& phase) {
+  const auto [tasks, rate] = Parts<2>(text, "expected num_tasks@rate phases");
+  Read(tasks, phase.num_tasks);
+  Read(rate, phase.rate);
+}
+std::string Write(const workload::PriorityClass& cls) {
+  return Write(cls.weight) + "@" + Write(cls.probability);
+}
+void Read(std::string_view text, workload::PriorityClass& cls) {
+  const auto [weight, probability] =
+      Parts<2>(text, "expected weight@probability classes");
+  Read(weight, cls.weight);
+  Read(probability, cls.probability);
+}
+std::string Write(const workload::ShapeClass& cls) {
+  return Write(cls.value) + "@" + Write(cls.probability);
+}
+void Read(std::string_view text, workload::ShapeClass& cls) {
+  const auto [value, probability] =
+      Parts<2>(text, "expected value@probability classes");
+  Read(value, cls.value);
+  Read(probability, cls.probability);
+}
+std::string Write(const econ::SlaTier& tier) {
+  return tier.name + "@" + Write(tier.value_multiplier) + "@" +
+         Write(tier.share_multiplier) + "@" + Write(tier.rho_floor) + "@" +
+         Write(tier.probability);
+}
+void Read(std::string_view text, econ::SlaTier& tier) {
+  constexpr const char* kExpected =
+      "expected name@vmult@smult@rhofloor@prob tiers";
+  const auto [name, vmult, smult, floor, probability] =
+      Parts<5>(text, kExpected);
+  if (name.empty()) throw std::invalid_argument(kExpected);
+  tier.name = std::string(name);
+  Read(vmult, tier.value_multiplier);
+  Read(smult, tier.share_multiplier);
+  Read(floor, tier.rho_floor);
+  Read(probability, tier.probability);
+}
+
+/// Lists are comma-separated; an empty value is an empty list.
+template <typename T>
+std::string Write(const std::vector<T>& items) {
+  std::string out;
+  for (const T& item : items) {
+    if (!out.empty()) out += ",";
+    out += Write(item);
+  }
+  return out;
+}
+template <typename T>
+void Read(std::string_view text, std::vector<T>& items) {
+  items.clear();
+  while (!text.empty()) {
+    const std::size_t comma = text.find(',');
+    Read(Trim(text.substr(0, comma)), items.emplace_back());
+    if (comma == std::string_view::npos) break;
+    text.remove_prefix(comma + 1);
+  }
+}
+
+/// Registry-named knobs: any non-empty token parses; the registry rejects
+/// unknown names at trial setup (examples may register policies the spec
+/// layer has never heard of).
+struct NonEmpty {
+  static void Read(std::string_view text, std::string& out) {
+    if (text.empty()) throw std::invalid_argument("expected a policy name");
+    out = text;
+  }
+};
+
+// -- Bounds: the range a knob's value must lie in, checked by
+// RequireValidSpec. Comparisons are written so NaN fails them.
+
+struct Unbounded {
+  static constexpr std::string_view kText{};
+  bool operator()(const auto&) const { return true; }
+};
+struct AtLeast0 {
+  static constexpr std::string_view kText = "must be >= 0";
+  bool operator()(double value) const { return value >= 0.0; }
+};
+struct AtLeast1 {
+  static constexpr std::string_view kText = "must be >= 1";
+  bool operator()(auto value) const { return value >= 1; }
+};
+struct PStateIndex {
+  static_assert(cluster::kNumPStates == 5, "kText names the P-state count");
+  static constexpr std::string_view kText = "must be < 5";
+  bool operator()(std::size_t value) const {
+    return value < cluster::kNumPStates;
+  }
+};
+struct ValidShapes {
+  static constexpr std::string_view kText =
+      "must have values >= 1 and probabilities > 0";
+  bool operator()(const std::vector<workload::ShapeClass>& classes) const {
+    return std::ranges::all_of(classes, [](const workload::ShapeClass& cls) {
+      return cls.value >= 1 && cls.probability > 0.0;
+    });
+  }
+};
+struct ValidValues {
+  static constexpr std::string_view kText = "must have values >= 0";
+  bool operator()(const std::vector<double>& values) const {
+    return std::ranges::all_of(values, AtLeast0{});
+  }
+};
+struct ValidTiers {
+  static constexpr std::string_view kText =
+      "must have multipliers >= 0, rho floors in [0, 1] and probabilities > 0";
+  bool operator()(const std::vector<econ::SlaTier>& tiers) const {
+    return std::ranges::all_of(tiers, [](const econ::SlaTier& tier) {
+      return tier.value_multiplier >= 0.0 && tier.share_multiplier >= 0.0 &&
+             tier.rho_floor >= 0.0 && tier.rho_floor <= 1.0 &&
+             tier.probability > 0.0;
+    });
+  }
+};
+
+/// A row's command-line flag (see Knob).
+struct Flag {
+  constexpr Flag() = default;
+  constexpr Flag(std::string_view flag, std::string_view placeholder,
+                 std::string_view text)
+      : name(flag), arg(placeholder), help(text) {}
+  std::string_view name;
+  std::string_view arg;
+  std::string_view help;
+  std::string_view sets;
+  void (*also)(ScenarioSpec&) = nullptr;
+};
+
+/// A flag that takes no value: it sets `value` (and runs `also`).
+constexpr Flag Switch(std::string_view name, std::string_view help,
+                      std::string_view value,
+                      void (*also)(ScenarioSpec&) = nullptr) {
+  Flag flag(name, "", help);
+  flag.sets = value;
+  flag.also = also;
+  return flag;
+}
+
+/// One table row. `Field` is a captureless lambda returning a reference into
+/// the spec (FIELD); its type picks the codec unless `Codec` overrides it.
+template <typename Bound = Unbounded, typename Codec = void, typename Field>
+constexpr Knob Row(std::string_view key, Field, Flag flag = {}) {
+  return Knob{
+      .key = key,
+      .flag = flag.name,
+      .arg = flag.arg,
+      .help = flag.help,
+      .switch_value = flag.sets,
+      .on_switch = flag.also,
+      .shapes_results =
+          !key.starts_with("grid.") && !key.starts_with("harness."),
+      .get = [](const ScenarioSpec& spec) { return Write(Field{}(spec)); },
+      .set =
+          [](ScenarioSpec& spec, std::string_view value) {
+            if constexpr (std::is_void_v<Codec>) {
+              Read(value, Field{}(spec));
+            } else {
+              Codec::Read(value, Field{}(spec));
+            }
+          },
+      .bound = Bound::kText,
+      .in_bounds = [](const ScenarioSpec& spec) {
+        return Bound{}(Field{}(spec));
+      },
+  };
+}
+
+// Field accessors for the rows: captureless lambdas, so Row can
+// default-construct them.
+#define FIELD(path) [](auto& spec) -> auto& { return spec.path; }
+#define ENV(path) FIELD(environment.path)
+
+// The table. Row order IS the canonical text order; the grid and harness
+// rows come last, so the fingerprint is a prefix of the canonical text.
+// cvb.num_machines is deliberately absent: BuildExperimentSetup overrides
+// it to num_nodes, so it can never shape a result.
+constexpr Knob kKnobs[] = {
+    Row("seed", FIELD(master_seed), {"--seed", "S", "master seed"}),
+    Row("env.cluster.num_nodes", ENV(cluster.num_nodes)),
+    Row("env.cluster.min_processors", ENV(cluster.min_processors)),
+    Row("env.cluster.max_processors", ENV(cluster.max_processors)),
+    Row("env.cluster.min_cores_per_processor",
+        ENV(cluster.min_cores_per_processor)),
+    Row("env.cluster.max_cores_per_processor",
+        ENV(cluster.max_cores_per_processor)),
+    Row("env.cluster.min_power_efficiency", ENV(cluster.min_power_efficiency)),
+    Row("env.cluster.max_power_efficiency", ENV(cluster.max_power_efficiency)),
+    Row("env.cluster.min_step_gain", ENV(cluster.min_step_gain)),
+    Row("env.cluster.max_step_gain", ENV(cluster.max_step_gain)),
+    Row("env.cluster.min_frequency_fraction",
+        ENV(cluster.min_frequency_fraction)),
+    Row("env.cluster.min_p0_power_watts", ENV(cluster.min_p0_power_watts)),
+    Row("env.cluster.max_p0_power_watts", ENV(cluster.max_p0_power_watts)),
+    Row("env.cluster.min_low_voltage", ENV(cluster.min_low_voltage)),
+    Row("env.cluster.max_low_voltage", ENV(cluster.max_low_voltage)),
+    Row("env.cluster.min_high_voltage", ENV(cluster.min_high_voltage)),
+    Row("env.cluster.max_high_voltage", ENV(cluster.max_high_voltage)),
+    Row("env.cvb.num_task_types", ENV(cvb.num_task_types)),
+    Row("env.cvb.task_mean", ENV(cvb.task_mean)),
+    Row("env.cvb.task_cov", ENV(cvb.task_cov)),
+    Row("env.cvb.machine_cov", ENV(cvb.machine_cov)),
+    Row("env.discretize.num_impulses", ENV(discretize.num_impulses)),
+    Row("env.discretize.tail_clip", ENV(discretize.tail_clip)),
+    Row("env.workload.arrivals", ENV(workload.arrivals.phases)),
+    Row("env.workload.load_factor_scale", ENV(workload.load_factor_scale)),
+    Row("env.workload.priorities", ENV(workload.priority_classes)),
+    Row("env.workload.jobs.enabled", ENV(workload.jobs.enabled),
+        Switch("--jobs", "generate map->reduce gang jobs", "true")),
+    Row<ValidShapes>("env.workload.jobs.widths", ENV(workload.jobs.widths),
+                     {"--job-widths", "LIST", "width@probability classes"}),
+    Row<ValidShapes>("env.workload.jobs.depths", ENV(workload.jobs.depths),
+                     {"--job-depths", "LIST", "depth@probability classes"}),
+    Row<AtLeast1>("env.workload.jobs.deadline_scale",
+                  ENV(workload.jobs.deadline_scale),
+                  {"--job-deadline-scale", "X",
+                   "job deadline stretch over the equivalent\n"
+                   "independent-task deadline"}),
+    Row("env.budget_task_count", ENV(budget_task_count)),
+    Row("env.exec_cov", ENV(exec_cov)),
+    Row("run.idle_policy", FIELD(idle_policy),
+        {"--idle", "POLICY", "deepest | stay | gated"}),
+    Row("run.cancel_policy", FIELD(cancel_policy),
+        {"--cancel", "POLICY", "never | hopeless"}),
+    Row("run.pstate_transition_latency", FIELD(pstate_transition_latency)),
+    Row("run.power_cov", FIELD(power_cov)),
+    Row<Unbounded, NonEmpty>("run.governor", FIELD(governor),
+                             {"--governor", "NAME", "online energy governor"}),
+    Row("run.filter.en.low_multiplier",
+        FIELD(filter_options.energy.low_multiplier)),
+    Row("run.filter.en.mid_multiplier",
+        FIELD(filter_options.energy.mid_multiplier)),
+    Row("run.filter.en.high_multiplier",
+        FIELD(filter_options.energy.high_multiplier)),
+    Row("run.filter.en.low_depth", FIELD(filter_options.energy.low_depth)),
+    Row("run.filter.en.high_depth", FIELD(filter_options.energy.high_depth)),
+    Row("run.filter.en.scale_by_priority",
+        FIELD(filter_options.energy.scale_fair_share_by_priority)),
+    Row("run.filter.en.priority_baseline",
+        FIELD(filter_options.energy.priority_baseline)),
+    Row<AtLeast0>("run.filter.rho_thresh",
+                  FIELD(filter_options.robustness_threshold),
+                  {"--rho-thresh", "P", "robustness threshold"}),
+    Row<AtLeast0>("run.fault.mtbf", FIELD(fault.mtbf),
+                  {"--fault-mtbf", "T", "mean time to core failure (0 = off)"}),
+    Row("run.fault.lifetime", FIELD(fault.lifetime)),
+    Row("run.fault.weibull_shape", FIELD(fault.weibull_shape)),
+    Row<AtLeast0>("run.fault.repair_time", FIELD(fault.repair_time),
+                  {"--fault-duration", "T", "mean repair time (0 = never)"}),
+    Row<AtLeast0>("run.fault.throttle_interval", FIELD(fault.throttle_interval),
+                  {"--throttle-interval", "T", "mean time between throttles"}),
+    Row<AtLeast0>("run.fault.throttle_duration", FIELD(fault.throttle_duration),
+                  {"--throttle-duration", "T", "mean throttle length"}),
+    Row<PStateIndex>("run.fault.throttle_floor", FIELD(fault.throttle_floor),
+                     {"--throttle-floor", "S", "P-state a throttle forces"}),
+    Row("run.fault.horizon", FIELD(fault.horizon)),
+    Row<AtLeast0>("run.fault.domain_mtbf", FIELD(fault.domain_mtbf),
+                  {"--domain-mtbf", "T", "mean time to a domain outage"}),
+    Row<AtLeast0>("run.fault.domain_repair_time",
+                  FIELD(fault.domain_repair_time),
+                  {"--domain-repair", "T", "mean domain outage (0 = never)"}),
+    Row("run.fault.cascade_throttle", FIELD(fault.cascade_throttle),
+        Switch("--cascade-throttle", "throttles spread across a domain",
+               "true")),
+    Row("run.fault.domains", FIELD(fault_domains),
+        {"--fault-domains", "S",
+         "'name:lo-hi' flat-core ranges covering every\n"
+         "core (empty: one domain per cluster node)"}),
+    Row("run.recovery", FIELD(recovery),
+        {"--recovery", "POLICY", "drop | requeue | migrate"}),
+    Row<Unbounded, NonEmpty>("run.jobs.placement", FIELD(jobs_placement),
+                             {"--gang-policy", "NAME", "gang placement"}),
+    Row("run.mode", FIELD(mode),
+        Switch("--stream", "streaming mode (needs stream.energy_rate > 0)",
+               "stream")),
+    Row<AtLeast0>("stream.energy_rate", FIELD(stream.energy_rate),
+                  {"--energy-rate", "R", "joules per second into the account"}),
+    Row<AtLeast0>("stream.accrual_cap", FIELD(stream.accrual_cap),
+                  {"--accrual-cap", "J", "account ceiling (0 = derived)"}),
+    Row("stream.initial_energy", FIELD(stream.initial_energy)),
+    Row<AtLeast0>("stream.window_length", FIELD(stream.window_length),
+                  {"--stream-window", "T", "metrics window (0 = derived)"}),
+    Row("stream.emergency_enter", FIELD(stream.emergency_enter_fraction)),
+    Row("stream.emergency_exit", FIELD(stream.emergency_exit_fraction)),
+    Row<Unbounded, NonEmpty>("stream.admission", FIELD(stream.admission),
+                             {"--admission", "NAME", "admission policy"}),
+    Row("stream.defer_rho", FIELD(stream.defer_rho)),
+    Row("stream.drop_rho", FIELD(stream.drop_rho)),
+    Row("stream.fairness_wait", FIELD(stream.fairness_wait)),
+    Row<AtLeast0>("stream.degraded_enter",
+                  FIELD(stream.degraded_enter_fraction),
+                  {"--degraded-enter", "F", "enter at this lost-core share"}),
+    Row<AtLeast0>("stream.degraded_exit", FIELD(stream.degraded_exit_fraction),
+                  {"--degraded-exit", "F", "leave at this lost-core share"}),
+    Row<AtLeast1>("stream.degraded_rho_scale", FIELD(stream.degraded_rho_scale),
+                  {"--degraded-rho-scale", "X", "rho threshold scale"}),
+    Row<ValidValues>("env.econ.values", FIELD(econ.type_values),
+                     {"--econ-values", "LIST", "per-type values, cycled"}),
+    Row<ValidTiers>("env.econ.tiers", FIELD(econ.tiers),
+                    {"--sla-tiers", "LIST",
+                     "name@vmult@smult@rhofloor@prob tiers\n"
+                     "(empty: one neutral tier)"}),
+    Row("run.econ.enabled", FIELD(econ_enabled),
+        Switch("--econ", "meter value (1 per task unless values are set)",
+               "true",
+               [](ScenarioSpec& spec) {
+                 if (spec.econ.type_values.empty()) {
+                   spec.econ.type_values = {1.0};
+                 }
+               })),
+    Row<AtLeast0>("run.econ.energy_price", FIELD(econ.energy_price),
+                  {"--energy-price", "X", "price per joule drawn"}),
+    Row<AtLeast0>("run.econ.value_decay", FIELD(econ.value_decay),
+                  {"--value-decay", "W", "late-revenue decay window"}),
+    Row("grid.heuristics", FIELD(grid.heuristics)),
+    Row("grid.filter_variants", FIELD(grid.filter_variants)),
+    Row("grid.batch_heuristics", FIELD(grid.batch_heuristics)),
+    Row<AtLeast1>("harness.trials", FIELD(num_trials),
+                  {"--trials", "N", "Monte-Carlo trials"}),
+    Row("harness.validation", FIELD(validation),
+        {"--validate", "MODE", "off | cheap | deep invariant checks"}),
+};
+
+#undef ENV
+#undef FIELD
+
+void AppendLines(std::string& out, const ScenarioSpec& spec,
+                 bool shaping_only) {
+  for (const Knob& knob : kKnobs) {
+    if (shaping_only && !knob.shapes_results) continue;
+    out += knob.key;
+    out += " = ";
+    out += knob.get(spec);
+    out += '\n';
+  }
+}
+
+[[noreturn]] void ParseFail(std::string_view line, const std::string& why) {
+  throw std::invalid_argument("scenario spec: " + why + " in line '" +
+                              std::string(line) + "'");
+}
+
+}  // namespace
 
 std::uint64_t Fnv1a64(std::string_view text) noexcept {
   std::uint64_t hash = 0xcbf29ce484222325ULL;
@@ -64,376 +513,19 @@ std::string Fnv1a64Hex(std::string_view text) {
   return hex;
 }
 
-namespace {
-
-constexpr std::string_view kHeaderLine = "ecdra-scenario v1";
-// v2: the run.governor line joined the result-shaping subset. Bumping the
-// header changes every fingerprint, which is exactly right: a v1 checkpoint
-// cannot attest what governor produced its trials.
-// v3: run.mode and the stream.* block joined — a v2 checkpoint cannot
-// attest whether its trials ran fixed-trace or streaming semantics.
-// v4: the fault-domain block (run.fault.domain_*, run.fault.domains) and the
-// degraded-mode knobs (stream.degraded_*) joined — a v3 checkpoint cannot
-// attest whether correlated outages or degraded-mode tightening shaped its
-// trials.
-// v5: the job block (env.workload.jobs.*, run.jobs.placement) joined — a v4
-// checkpoint cannot attest whether gang jobs and precedence chains shaped
-// its trials, nor which gang-placement policy chose the core sets.
-// v6: the econ block (env.econ.*, run.econ.*) joined — a v5 checkpoint
-// cannot attest whether per-task value, SLA tiers, or the energy price
-// shaped its trials.
-constexpr std::string_view kFingerprintHeaderLine =
-    "ecdra-scenario-fingerprint v6";
-
-std::string_view LifetimeName(fault::LifetimeDistribution lifetime) noexcept {
-  return lifetime == fault::LifetimeDistribution::kWeibull ? "weibull"
-                                                           : "exponential";
-}
-
-std::string Num(double value) { return obs::json::Number(value); }
-
-std::string ArrivalsValue(const workload::ArrivalSpec& arrivals) {
-  std::string value;
-  for (const workload::ArrivalPhase& phase : arrivals.phases) {
-    if (!value.empty()) value += ",";
-    value += std::to_string(phase.num_tasks) + "@" + Num(phase.rate);
-  }
-  return value;
-}
-
-std::string PrioritiesValue(
-    const std::vector<workload::PriorityClass>& classes) {
-  std::string value;
-  for (const workload::PriorityClass& cls : classes) {
-    if (!value.empty()) value += ",";
-    value += Num(cls.weight) + "@" + Num(cls.probability);
-  }
-  return value;
-}
-
-std::string ShapesValue(const std::vector<workload::ShapeClass>& classes) {
-  std::string value;
-  for (const workload::ShapeClass& cls : classes) {
-    if (!value.empty()) value += ",";
-    value += std::to_string(cls.value) + "@" + Num(cls.probability);
-  }
-  return value;
-}
-
-std::string ValuesValue(const std::vector<double>& values) {
-  std::string value;
-  for (const double v : values) {
-    if (!value.empty()) value += ",";
-    value += Num(v);
-  }
-  return value;
-}
-
-std::string TiersValue(const std::vector<econ::SlaTier>& tiers) {
-  std::string value;
-  for (const econ::SlaTier& tier : tiers) {
-    if (!value.empty()) value += ",";
-    value += tier.name + "@" + Num(tier.value_multiplier) + "@" +
-             Num(tier.share_multiplier) + "@" + Num(tier.rho_floor) + "@" +
-             Num(tier.probability);
-  }
-  return value;
-}
-
-std::string NamesValue(const std::vector<std::string>& names) {
-  std::string value;
-  for (const std::string& name : names) {
-    if (!value.empty()) value += ",";
-    value += name;
-  }
-  return value;
-}
-
-/// One "key = value" line. The emission order below IS the canonical order;
-/// both serializations (full and fingerprint) walk the same emitters.
-void Emit(std::string& out, std::string_view key, std::string_view value) {
-  out += key;
-  out += " = ";
-  out += value;
-  out += '\n';
-}
-
-void EmitResultShapingLines(std::string& out, const ScenarioSpec& spec) {
-  Emit(out, "seed", std::to_string(spec.master_seed));
-
-  const cluster::ClusterBuilderOptions& cl = spec.environment.cluster;
-  Emit(out, "env.cluster.num_nodes", std::to_string(cl.num_nodes));
-  Emit(out, "env.cluster.min_processors", std::to_string(cl.min_processors));
-  Emit(out, "env.cluster.max_processors", std::to_string(cl.max_processors));
-  Emit(out, "env.cluster.min_cores_per_processor",
-       std::to_string(cl.min_cores_per_processor));
-  Emit(out, "env.cluster.max_cores_per_processor",
-       std::to_string(cl.max_cores_per_processor));
-  Emit(out, "env.cluster.min_power_efficiency", Num(cl.min_power_efficiency));
-  Emit(out, "env.cluster.max_power_efficiency", Num(cl.max_power_efficiency));
-  Emit(out, "env.cluster.min_step_gain", Num(cl.min_step_gain));
-  Emit(out, "env.cluster.max_step_gain", Num(cl.max_step_gain));
-  Emit(out, "env.cluster.min_frequency_fraction",
-       Num(cl.min_frequency_fraction));
-  Emit(out, "env.cluster.min_p0_power_watts", Num(cl.min_p0_power_watts));
-  Emit(out, "env.cluster.max_p0_power_watts", Num(cl.max_p0_power_watts));
-  Emit(out, "env.cluster.min_low_voltage", Num(cl.min_low_voltage));
-  Emit(out, "env.cluster.max_low_voltage", Num(cl.max_low_voltage));
-  Emit(out, "env.cluster.min_high_voltage", Num(cl.min_high_voltage));
-  Emit(out, "env.cluster.max_high_voltage", Num(cl.max_high_voltage));
-
-  // cvb.num_machines is deliberately absent: BuildExperimentSetup overrides
-  // it to num_nodes, so it can never shape a result.
-  const workload::CvbOptions& cvb = spec.environment.cvb;
-  Emit(out, "env.cvb.num_task_types", std::to_string(cvb.num_task_types));
-  Emit(out, "env.cvb.task_mean", Num(cvb.task_mean));
-  Emit(out, "env.cvb.task_cov", Num(cvb.task_cov));
-  Emit(out, "env.cvb.machine_cov", Num(cvb.machine_cov));
-
-  const pmf::DiscretizeOptions& disc = spec.environment.discretize;
-  Emit(out, "env.discretize.num_impulses", std::to_string(disc.num_impulses));
-  Emit(out, "env.discretize.tail_clip", Num(disc.tail_clip));
-
-  const workload::WorkloadGeneratorOptions& wl = spec.environment.workload;
-  Emit(out, "env.workload.arrivals", ArrivalsValue(wl.arrivals));
-  Emit(out, "env.workload.load_factor_scale", Num(wl.load_factor_scale));
-  Emit(out, "env.workload.priorities", PrioritiesValue(wl.priority_classes));
-  Emit(out, "env.workload.jobs.enabled", wl.jobs.enabled ? "true" : "false");
-  Emit(out, "env.workload.jobs.widths", ShapesValue(wl.jobs.widths));
-  Emit(out, "env.workload.jobs.depths", ShapesValue(wl.jobs.depths));
-  Emit(out, "env.workload.jobs.deadline_scale", Num(wl.jobs.deadline_scale));
-
-  Emit(out, "env.budget_task_count", Num(spec.environment.budget_task_count));
-  Emit(out, "env.exec_cov", Num(spec.environment.exec_cov));
-
-  Emit(out, "run.idle_policy", IdlePolicyName(spec.idle_policy));
-  Emit(out, "run.cancel_policy", CancelPolicyName(spec.cancel_policy));
-  Emit(out, "run.pstate_transition_latency",
-       Num(spec.pstate_transition_latency));
-  Emit(out, "run.power_cov", Num(spec.power_cov));
-  Emit(out, "run.governor", spec.governor);
-
-  const core::EnergyFilterOptions& en = spec.filter_options.energy;
-  Emit(out, "run.filter.en.low_multiplier", Num(en.low_multiplier));
-  Emit(out, "run.filter.en.mid_multiplier", Num(en.mid_multiplier));
-  Emit(out, "run.filter.en.high_multiplier", Num(en.high_multiplier));
-  Emit(out, "run.filter.en.low_depth", Num(en.low_depth));
-  Emit(out, "run.filter.en.high_depth", Num(en.high_depth));
-  Emit(out, "run.filter.en.scale_by_priority",
-       en.scale_fair_share_by_priority ? "true" : "false");
-  Emit(out, "run.filter.en.priority_baseline", Num(en.priority_baseline));
-  Emit(out, "run.filter.rho_thresh",
-       Num(spec.filter_options.robustness_threshold));
-
-  const fault::FaultModelOptions& fault = spec.fault;
-  Emit(out, "run.fault.mtbf", Num(fault.mtbf));
-  Emit(out, "run.fault.lifetime", LifetimeName(fault.lifetime));
-  Emit(out, "run.fault.weibull_shape", Num(fault.weibull_shape));
-  Emit(out, "run.fault.repair_time", Num(fault.repair_time));
-  Emit(out, "run.fault.throttle_interval", Num(fault.throttle_interval));
-  Emit(out, "run.fault.throttle_duration", Num(fault.throttle_duration));
-  Emit(out, "run.fault.throttle_floor",
-       std::to_string(std::size_t{fault.throttle_floor}));
-  Emit(out, "run.fault.horizon", Num(fault.horizon));
-  Emit(out, "run.fault.domain_mtbf", Num(fault.domain_mtbf));
-  Emit(out, "run.fault.domain_repair_time", Num(fault.domain_repair_time));
-  Emit(out, "run.fault.cascade_throttle",
-       fault.cascade_throttle ? "true" : "false");
-  Emit(out, "run.fault.domains", spec.fault_domains);
-  Emit(out, "run.recovery", fault::RecoveryPolicyName(spec.recovery));
-  Emit(out, "run.jobs.placement", spec.jobs_placement);
-
-  const StreamSpec& stream = spec.stream;
-  Emit(out, "run.mode", RunModeName(spec.mode));
-  Emit(out, "stream.energy_rate", Num(stream.energy_rate));
-  Emit(out, "stream.accrual_cap", Num(stream.accrual_cap));
-  Emit(out, "stream.initial_energy", Num(stream.initial_energy));
-  Emit(out, "stream.window_length", Num(stream.window_length));
-  Emit(out, "stream.emergency_enter", Num(stream.emergency_enter_fraction));
-  Emit(out, "stream.emergency_exit", Num(stream.emergency_exit_fraction));
-  Emit(out, "stream.admission", stream.admission);
-  Emit(out, "stream.defer_rho", Num(stream.defer_rho));
-  Emit(out, "stream.drop_rho", Num(stream.drop_rho));
-  Emit(out, "stream.fairness_wait", Num(stream.fairness_wait));
-  Emit(out, "stream.degraded_enter", Num(stream.degraded_enter_fraction));
-  Emit(out, "stream.degraded_exit", Num(stream.degraded_exit_fraction));
-  Emit(out, "stream.degraded_rho_scale", Num(stream.degraded_rho_scale));
-
-  Emit(out, "env.econ.values", ValuesValue(spec.econ.type_values));
-  Emit(out, "env.econ.tiers", TiersValue(spec.econ.tiers));
-  Emit(out, "run.econ.enabled", spec.econ_enabled ? "true" : "false");
-  Emit(out, "run.econ.energy_price", Num(spec.econ.energy_price));
-  Emit(out, "run.econ.value_decay", Num(spec.econ.value_decay));
-}
-
-void EmitGridAndHarnessLines(std::string& out, const ScenarioSpec& spec) {
-  Emit(out, "grid.heuristics", NamesValue(spec.grid.heuristics));
-  Emit(out, "grid.filter_variants", NamesValue(spec.grid.filter_variants));
-  Emit(out, "grid.batch_heuristics", NamesValue(spec.grid.batch_heuristics));
-  Emit(out, "harness.trials", std::to_string(spec.num_trials));
-  Emit(out, "harness.validation",
-       validate::ValidationModeName(spec.validation));
-}
-
-[[noreturn]] void ParseFail(std::string_view line, const std::string& why) {
-  throw std::invalid_argument("scenario spec: " + why + " in line '" +
-                              std::string(line) + "'");
-}
-
-std::string_view Trim(std::string_view text) {
-  while (!text.empty() && (text.front() == ' ' || text.front() == '\t')) {
-    text.remove_prefix(1);
-  }
-  while (!text.empty() && (text.back() == ' ' || text.back() == '\t' ||
-                           text.back() == '\r')) {
-    text.remove_suffix(1);
-  }
-  return text;
-}
-
-std::uint64_t ParseUint(std::string_view line, std::string_view value) {
-  std::uint64_t parsed = 0;
-  const auto [ptr, ec] =
-      std::from_chars(value.data(), value.data() + value.size(), parsed);
-  if (ec != std::errc() || ptr != value.data() + value.size() ||
-      value.empty()) {
-    ParseFail(line, "expected a non-negative integer");
-  }
-  return parsed;
-}
-
-double ParseNum(std::string_view line, std::string_view value) {
-  const std::string copy(value);  // strtod needs a terminator
-  char* end = nullptr;
-  const double parsed = std::strtod(copy.c_str(), &end);
-  if (copy.empty() || end != copy.c_str() + copy.size()) {
-    ParseFail(line, "expected a number");
-  }
-  return parsed;
-}
-
-bool ParseBool(std::string_view line, std::string_view value) {
-  if (value == "true") return true;
-  if (value == "false") return false;
-  ParseFail(line, "expected true or false");
-}
-
-/// Splits "a,b,c" into trimmed tokens; an empty value is an empty list.
-std::vector<std::string_view> SplitList(std::string_view value) {
-  std::vector<std::string_view> tokens;
-  while (!value.empty()) {
-    const std::size_t comma = value.find(',');
-    tokens.push_back(Trim(value.substr(0, comma)));
-    if (comma == std::string_view::npos) break;
-    value.remove_prefix(comma + 1);
-  }
-  return tokens;
-}
-
-workload::ArrivalSpec ParseArrivals(std::string_view line,
-                                    std::string_view value) {
-  workload::ArrivalSpec arrivals;
-  for (const std::string_view token : SplitList(value)) {
-    const std::size_t at = token.find('@');
-    if (at == std::string_view::npos) {
-      ParseFail(line, "expected num_tasks@rate phases");
-    }
-    arrivals.phases.push_back(workload::ArrivalPhase{
-        static_cast<std::size_t>(ParseUint(line, token.substr(0, at))),
-        ParseNum(line, token.substr(at + 1))});
-  }
-  return arrivals;
-}
-
-std::vector<workload::PriorityClass> ParsePriorities(std::string_view line,
-                                                     std::string_view value) {
-  std::vector<workload::PriorityClass> classes;
-  for (const std::string_view token : SplitList(value)) {
-    const std::size_t at = token.find('@');
-    if (at == std::string_view::npos) {
-      ParseFail(line, "expected weight@probability classes");
-    }
-    classes.push_back(workload::PriorityClass{
-        ParseNum(line, token.substr(0, at)),
-        ParseNum(line, token.substr(at + 1))});
-  }
-  return classes;
-}
-
-std::vector<workload::ShapeClass> ParseShapes(std::string_view line,
-                                              std::string_view value) {
-  std::vector<workload::ShapeClass> classes;
-  for (const std::string_view token : SplitList(value)) {
-    const std::size_t at = token.find('@');
-    if (at == std::string_view::npos) {
-      ParseFail(line, "expected value@probability classes");
-    }
-    classes.push_back(workload::ShapeClass{
-        static_cast<std::size_t>(ParseUint(line, token.substr(0, at))),
-        ParseNum(line, token.substr(at + 1))});
-  }
-  return classes;
-}
-
-std::vector<double> ParseValues(std::string_view line, std::string_view value) {
-  std::vector<double> values;
-  for (const std::string_view token : SplitList(value)) {
-    values.push_back(ParseNum(line, token));
-  }
-  return values;
-}
-
-std::vector<econ::SlaTier> ParseTiers(std::string_view line,
-                                      std::string_view value) {
-  std::vector<econ::SlaTier> tiers;
-  for (std::string_view token : SplitList(value)) {
-    econ::SlaTier tier;
-    std::vector<std::string_view> parts;
-    while (!token.empty()) {
-      const std::size_t at = token.find('@');
-      parts.push_back(token.substr(0, at));
-      if (at == std::string_view::npos) break;
-      token.remove_prefix(at + 1);
-    }
-    if (parts.size() != 5 || parts[0].empty()) {
-      ParseFail(line, "expected name@vmult@smult@rhofloor@prob tiers");
-    }
-    tier.name = std::string(parts[0]);
-    tier.value_multiplier = ParseNum(line, parts[1]);
-    tier.share_multiplier = ParseNum(line, parts[2]);
-    tier.rho_floor = ParseNum(line, parts[3]);
-    tier.probability = ParseNum(line, parts[4]);
-    tiers.push_back(std::move(tier));
-  }
-  return tiers;
-}
-
-std::vector<std::string> ParseNames(std::string_view value) {
-  std::vector<std::string> names;
-  for (const std::string_view token : SplitList(value)) {
-    names.emplace_back(token);
-  }
-  return names;
-}
-
-}  // namespace
+std::span<const Knob> Knobs() noexcept { return kKnobs; }
 
 std::string CanonicalSpecText(const ScenarioSpec& spec) {
-  std::string out;
-  out.reserve(2048);
-  out += kHeaderLine;
+  std::string out(kHeaderLine);
   out += '\n';
-  EmitResultShapingLines(out, spec);
-  EmitGridAndHarnessLines(out, spec);
+  AppendLines(out, spec, /*shaping_only=*/false);
   return out;
 }
 
 std::string FingerprintText(const ScenarioSpec& spec) {
-  std::string out;
-  out.reserve(2048);
-  out += kFingerprintHeaderLine;
+  std::string out(kFingerprintHeaderLine);
   out += '\n';
-  EmitResultShapingLines(out, spec);
+  AppendLines(out, spec, /*shaping_only=*/true);
   return out;
 }
 
@@ -441,18 +533,14 @@ std::string SpecFingerprint(const ScenarioSpec& spec) {
   return Fnv1a64Hex(FingerprintText(spec));
 }
 
-void RequireValidEcon(const econ::EconModel& econ) {
-  const auto require_non_negative = [](std::string_view key,
-                                       std::string_view flag, double value) {
-    if (value >= 0.0) return;  // also refuses NaN
-    std::ostringstream message;
-    message << key << " (" << flag << ") must be >= 0, got " << value;
-    throw std::invalid_argument(message.str());
-  };
-  require_non_negative("run.econ.energy_price", "--energy-price",
-                       econ.energy_price);
-  require_non_negative("run.econ.value_decay", "--value-decay",
-                       econ.value_decay);
+void RequireValidSpec(const ScenarioSpec& spec) {
+  for (const Knob& knob : kKnobs) {
+    if (knob.in_bounds(spec)) continue;
+    std::string message(knob.key);
+    if (!knob.flag.empty()) message += " (" + std::string(knob.flag) + ")";
+    throw std::invalid_argument(message + " " + std::string(knob.bound) +
+                                ", got " + knob.get(spec));
+  }
 }
 
 ScenarioSpec ParseScenarioSpec(std::string_view text) {
@@ -477,220 +565,14 @@ ScenarioSpec ParseScenarioSpec(std::string_view text) {
     const std::size_t eq = line.find('=');
     if (eq == std::string_view::npos) ParseFail(line, "expected 'key = value'");
     const std::string_view key = Trim(line.substr(0, eq));
-    const std::string_view value = Trim(line.substr(eq + 1));
-
-    cluster::ClusterBuilderOptions& cl = spec.environment.cluster;
-    workload::CvbOptions& cvb = spec.environment.cvb;
-    pmf::DiscretizeOptions& disc = spec.environment.discretize;
-    workload::WorkloadGeneratorOptions& wl = spec.environment.workload;
-    core::EnergyFilterOptions& en = spec.filter_options.energy;
-    fault::FaultModelOptions& fault = spec.fault;
-
-    if (key == "seed") {
-      spec.master_seed = ParseUint(line, value);
-    } else if (key == "env.cluster.num_nodes") {
-      cl.num_nodes = ParseUint(line, value);
-    } else if (key == "env.cluster.min_processors") {
-      cl.min_processors = ParseUint(line, value);
-    } else if (key == "env.cluster.max_processors") {
-      cl.max_processors = ParseUint(line, value);
-    } else if (key == "env.cluster.min_cores_per_processor") {
-      cl.min_cores_per_processor = ParseUint(line, value);
-    } else if (key == "env.cluster.max_cores_per_processor") {
-      cl.max_cores_per_processor = ParseUint(line, value);
-    } else if (key == "env.cluster.min_power_efficiency") {
-      cl.min_power_efficiency = ParseNum(line, value);
-    } else if (key == "env.cluster.max_power_efficiency") {
-      cl.max_power_efficiency = ParseNum(line, value);
-    } else if (key == "env.cluster.min_step_gain") {
-      cl.min_step_gain = ParseNum(line, value);
-    } else if (key == "env.cluster.max_step_gain") {
-      cl.max_step_gain = ParseNum(line, value);
-    } else if (key == "env.cluster.min_frequency_fraction") {
-      cl.min_frequency_fraction = ParseNum(line, value);
-    } else if (key == "env.cluster.min_p0_power_watts") {
-      cl.min_p0_power_watts = ParseNum(line, value);
-    } else if (key == "env.cluster.max_p0_power_watts") {
-      cl.max_p0_power_watts = ParseNum(line, value);
-    } else if (key == "env.cluster.min_low_voltage") {
-      cl.min_low_voltage = ParseNum(line, value);
-    } else if (key == "env.cluster.max_low_voltage") {
-      cl.max_low_voltage = ParseNum(line, value);
-    } else if (key == "env.cluster.min_high_voltage") {
-      cl.min_high_voltage = ParseNum(line, value);
-    } else if (key == "env.cluster.max_high_voltage") {
-      cl.max_high_voltage = ParseNum(line, value);
-    } else if (key == "env.cvb.num_task_types") {
-      cvb.num_task_types = ParseUint(line, value);
-    } else if (key == "env.cvb.task_mean") {
-      cvb.task_mean = ParseNum(line, value);
-    } else if (key == "env.cvb.task_cov") {
-      cvb.task_cov = ParseNum(line, value);
-    } else if (key == "env.cvb.machine_cov") {
-      cvb.machine_cov = ParseNum(line, value);
-    } else if (key == "env.discretize.num_impulses") {
-      disc.num_impulses = ParseUint(line, value);
-    } else if (key == "env.discretize.tail_clip") {
-      disc.tail_clip = ParseNum(line, value);
-    } else if (key == "env.workload.arrivals") {
-      wl.arrivals = ParseArrivals(line, value);
-    } else if (key == "env.workload.load_factor_scale") {
-      wl.load_factor_scale = ParseNum(line, value);
-    } else if (key == "env.workload.priorities") {
-      wl.priority_classes = ParsePriorities(line, value);
-    } else if (key == "env.workload.jobs.enabled") {
-      wl.jobs.enabled = ParseBool(line, value);
-    } else if (key == "env.workload.jobs.widths") {
-      wl.jobs.widths = ParseShapes(line, value);
-    } else if (key == "env.workload.jobs.depths") {
-      wl.jobs.depths = ParseShapes(line, value);
-    } else if (key == "env.workload.jobs.deadline_scale") {
-      wl.jobs.deadline_scale = ParseNum(line, value);
-    } else if (key == "env.budget_task_count") {
-      spec.environment.budget_task_count = ParseNum(line, value);
-    } else if (key == "env.exec_cov") {
-      spec.environment.exec_cov = ParseNum(line, value);
-    } else if (key == "run.idle_policy") {
-      const auto policy = ParseIdlePolicy(value);
-      if (!policy) ParseFail(line, "expected deepest, stay, or gated");
-      spec.idle_policy = *policy;
-    } else if (key == "run.cancel_policy") {
-      const auto policy = ParseCancelPolicy(value);
-      if (!policy) ParseFail(line, "expected never or hopeless");
-      spec.cancel_policy = *policy;
-    } else if (key == "run.pstate_transition_latency") {
-      spec.pstate_transition_latency = ParseNum(line, value);
-    } else if (key == "run.power_cov") {
-      spec.power_cov = ParseNum(line, value);
-    } else if (key == "run.governor") {
-      // Any non-empty token parses; the registry rejects unknown names when
-      // the trial is constructed (examples may register governors the spec
-      // layer has never heard of).
-      if (value.empty()) ParseFail(line, "expected a governor name");
-      spec.governor = std::string(value);
-    } else if (key == "run.filter.en.low_multiplier") {
-      en.low_multiplier = ParseNum(line, value);
-    } else if (key == "run.filter.en.mid_multiplier") {
-      en.mid_multiplier = ParseNum(line, value);
-    } else if (key == "run.filter.en.high_multiplier") {
-      en.high_multiplier = ParseNum(line, value);
-    } else if (key == "run.filter.en.low_depth") {
-      en.low_depth = ParseNum(line, value);
-    } else if (key == "run.filter.en.high_depth") {
-      en.high_depth = ParseNum(line, value);
-    } else if (key == "run.filter.en.scale_by_priority") {
-      en.scale_fair_share_by_priority = ParseBool(line, value);
-    } else if (key == "run.filter.en.priority_baseline") {
-      en.priority_baseline = ParseNum(line, value);
-    } else if (key == "run.filter.rho_thresh") {
-      spec.filter_options.robustness_threshold = ParseNum(line, value);
-    } else if (key == "run.fault.mtbf") {
-      fault.mtbf = ParseNum(line, value);
-    } else if (key == "run.fault.lifetime") {
-      if (value == "exponential") {
-        fault.lifetime = fault::LifetimeDistribution::kExponential;
-      } else if (value == "weibull") {
-        fault.lifetime = fault::LifetimeDistribution::kWeibull;
-      } else {
-        ParseFail(line, "expected exponential or weibull");
-      }
-    } else if (key == "run.fault.weibull_shape") {
-      fault.weibull_shape = ParseNum(line, value);
-    } else if (key == "run.fault.repair_time") {
-      fault.repair_time = ParseNum(line, value);
-    } else if (key == "run.fault.throttle_interval") {
-      fault.throttle_interval = ParseNum(line, value);
-    } else if (key == "run.fault.throttle_duration") {
-      fault.throttle_duration = ParseNum(line, value);
-    } else if (key == "run.fault.throttle_floor") {
-      fault.throttle_floor =
-          static_cast<cluster::PStateIndex>(ParseUint(line, value));
-    } else if (key == "run.fault.horizon") {
-      fault.horizon = ParseNum(line, value);
-    } else if (key == "run.fault.domain_mtbf") {
-      fault.domain_mtbf = ParseNum(line, value);
-    } else if (key == "run.fault.domain_repair_time") {
-      fault.domain_repair_time = ParseNum(line, value);
-    } else if (key == "run.fault.cascade_throttle") {
-      fault.cascade_throttle = ParseBool(line, value);
-    } else if (key == "run.fault.domains") {
-      // Any value parses (empty = the derived node-per-domain grouping);
-      // fault::ResolveFaultDomains validates against the cluster at setup.
-      spec.fault_domains = std::string(value);
-    } else if (key == "run.recovery") {
-      try {
-        spec.recovery = fault::ParseRecoveryPolicy(value);
-      } catch (const std::invalid_argument&) {
-        ParseFail(line, "expected one of: " +
-                            std::string(fault::RecoveryPolicyNames()));
-      }
-    } else if (key == "run.jobs.placement") {
-      // Any non-empty token parses; the gang-placement registry rejects
-      // unknown names at trial setup, like run.governor.
-      if (value.empty()) ParseFail(line, "expected a gang-placement name");
-      spec.jobs_placement = std::string(value);
-    } else if (key == "run.mode") {
-      // Batch mode is a stack, not a spec-selectable trial mode.
-      if (value == "fixed") {
-        spec.mode = RunMode::kFixedTrace;
-      } else if (value == "stream") {
-        spec.mode = RunMode::kStream;
-      } else {
-        ParseFail(line, "expected fixed or stream");
-      }
-    } else if (key == "stream.energy_rate") {
-      spec.stream.energy_rate = ParseNum(line, value);
-    } else if (key == "stream.accrual_cap") {
-      spec.stream.accrual_cap = ParseNum(line, value);
-    } else if (key == "stream.initial_energy") {
-      spec.stream.initial_energy = ParseNum(line, value);
-    } else if (key == "stream.window_length") {
-      spec.stream.window_length = ParseNum(line, value);
-    } else if (key == "stream.emergency_enter") {
-      spec.stream.emergency_enter_fraction = ParseNum(line, value);
-    } else if (key == "stream.emergency_exit") {
-      spec.stream.emergency_exit_fraction = ParseNum(line, value);
-    } else if (key == "stream.admission") {
-      // Any non-empty token parses; the admission registry rejects unknown
-      // names at trial setup, like run.governor.
-      if (value.empty()) ParseFail(line, "expected an admission policy name");
-      spec.stream.admission = std::string(value);
-    } else if (key == "stream.defer_rho") {
-      spec.stream.defer_rho = ParseNum(line, value);
-    } else if (key == "stream.drop_rho") {
-      spec.stream.drop_rho = ParseNum(line, value);
-    } else if (key == "stream.fairness_wait") {
-      spec.stream.fairness_wait = ParseNum(line, value);
-    } else if (key == "stream.degraded_enter") {
-      spec.stream.degraded_enter_fraction = ParseNum(line, value);
-    } else if (key == "stream.degraded_exit") {
-      spec.stream.degraded_exit_fraction = ParseNum(line, value);
-    } else if (key == "stream.degraded_rho_scale") {
-      spec.stream.degraded_rho_scale = ParseNum(line, value);
-    } else if (key == "env.econ.values") {
-      spec.econ.type_values = ParseValues(line, value);
-    } else if (key == "env.econ.tiers") {
-      spec.econ.tiers = ParseTiers(line, value);
-    } else if (key == "run.econ.enabled") {
-      spec.econ_enabled = ParseBool(line, value);
-    } else if (key == "run.econ.energy_price") {
-      spec.econ.energy_price = ParseNum(line, value);
-    } else if (key == "run.econ.value_decay") {
-      spec.econ.value_decay = ParseNum(line, value);
-    } else if (key == "grid.heuristics") {
-      spec.grid.heuristics = ParseNames(value);
-    } else if (key == "grid.filter_variants") {
-      spec.grid.filter_variants = ParseNames(value);
-    } else if (key == "grid.batch_heuristics") {
-      spec.grid.batch_heuristics = ParseNames(value);
-    } else if (key == "harness.trials") {
-      spec.num_trials = ParseUint(line, value);
-    } else if (key == "harness.validation") {
-      const auto mode = validate::ParseValidationMode(value);
-      if (!mode) ParseFail(line, "expected off, cheap, or deep");
-      spec.validation = *mode;
-    } else {
+    const auto knob = std::ranges::find(kKnobs, key, &Knob::key);
+    if (knob == std::end(kKnobs)) {
       ParseFail(line, "unknown key '" + std::string(key) + "'");
+    }
+    try {
+      knob->set(spec, Trim(line.substr(eq + 1)));
+    } catch (const std::invalid_argument& error) {
+      ParseFail(line, error.what());
     }
   }
   if (!saw_header) {

@@ -3,10 +3,10 @@
 // result-shaping trial knobs, the (heuristic x filter-variant) policy grid,
 // and the harness knobs, with one canonical text serialization.
 //
-// Every consumer that used to re-assemble configuration independently —
-// run_experiment_cli flag parsing, the figure-harness variant enumeration,
-// the bench configs, and the checkpoint config fingerprint — now derives
-// from a ScenarioSpec, so a configuration cannot mean different things in
+// Every knob is declared once: a struct field plus one row of the knob table
+// (Knobs()). The canonical text, the checkpoint fingerprint, the spec
+// parser, the range checks, and run_experiment_cli's flags and --help all
+// walk that table, so a configuration cannot mean different things in
 // different stacks. The checkpoint fingerprint is FNV-1a over
 // FingerprintText(), the canonical serialization of the result-shaping
 // subset (grid and harness knobs excluded: they select *which* trials run
@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -60,10 +61,10 @@ struct PolicyGrid {
   std::vector<std::string> batch_heuristics;
 };
 
-struct ScenarioSpec {
-  std::uint64_t master_seed = 0;
-  EnvironmentSpec environment;
-
+/// The run knobs a ScenarioSpec and a sim::RunOptions both carry. Both
+/// derive from it, so sim::RunOptionsFromSpec and the checkpoint fingerprint
+/// copy the whole set in one assignment and cannot drop a field.
+struct RunKnobs {
   // -- Result-shaping trial knobs (fingerprinted) --
   IdlePolicy idle_policy = IdlePolicy::kDeepestPState;
   CancelPolicy cancel_policy = CancelPolicy::kRunToCompletion;
@@ -73,6 +74,7 @@ struct ScenarioSpec {
   /// Options for every filter either stack constructs — the one source of
   /// truth for e.g. the robustness threshold.
   core::FilterChainOptions filter_options;
+  /// Fault extension (src/fault); a zero horizon is derived per trial.
   fault::FaultModelOptions fault;
   /// Correlated fault-domain grouping: comma-separated "name:lo-hi" flat-core
   /// ranges (fault::ResolveFaultDomains); empty derives one domain per
@@ -99,32 +101,66 @@ struct ScenarioSpec {
   bool econ_enabled = false;
   econ::EconModel econ;
 
-  // -- Grid + harness knobs (serialized, but not fingerprinted) --
-  PolicyGrid grid;
+  // -- Harness knobs (serialized, but not fingerprinted) --
   std::size_t num_trials = 50;
   validate::ValidationMode validation = validate::ValidationMode::kOff;
 };
 
+struct ScenarioSpec : RunKnobs {
+  std::uint64_t master_seed = 0;
+  EnvironmentSpec environment;
+  /// Serialized, but not fingerprinted.
+  PolicyGrid grid;
+};
+
+/// One row of the knob table: a spec key and everything that reads or
+/// writes it.
+struct Knob {
+  std::string_view key;
+  /// Command-line flag ("" = spec-only), its value placeholder, and its
+  /// help text ('\n' between lines). A switch flag takes no value and
+  /// applies `switch_value` (plus `on_switch`, if set) instead.
+  std::string_view flag;
+  std::string_view arg;
+  std::string_view help;
+  std::string_view switch_value;
+  void (*on_switch)(ScenarioSpec&) = nullptr;
+  /// Joins the fingerprint (false only for the grid and harness keys).
+  bool shapes_results = true;
+  /// The canonical value text, and its parser (throws
+  /// std::invalid_argument saying what was expected).
+  std::string (*get)(const ScenarioSpec&) = nullptr;
+  void (*set)(ScenarioSpec& spec, std::string_view value) = nullptr;
+  /// The range the value must lie in ("must be >= 0"; "" = any value that
+  /// parses) and whether it does.
+  std::string_view bound;
+  bool (*in_bounds)(const ScenarioSpec&) = nullptr;
+};
+
+/// Every spec key, in canonical order.
+[[nodiscard]] std::span<const Knob> Knobs() noexcept;
+
 /// Canonical serialization: a "ecdra-scenario v1" header line followed by
-/// one "key = value" line per field in a fixed order. Doubles use the
-/// shortest decimal that round-trips bit-exactly (obs::json::Number), so
-/// serialize -> parse -> serialize is byte-stable.
+/// one "key = value" line per knob in table order. Doubles use the shortest
+/// decimal that round-trips bit-exactly (obs::json::Number), so serialize ->
+/// parse -> serialize is byte-stable.
 [[nodiscard]] std::string CanonicalSpecText(const ScenarioSpec& spec);
 
 /// Inverse of CanonicalSpecText. Unset keys keep their defaults; unknown
 /// keys, malformed values, and a missing/wrong header line throw
-/// std::invalid_argument naming the offending line.
+/// std::invalid_argument naming the offending line. Ranges are not checked
+/// here (RequireValidSpec is).
 [[nodiscard]] ScenarioSpec ParseScenarioSpec(std::string_view text);
 
 /// The result-shaping subset of CanonicalSpecText (seed, environment, run
 /// knobs; no grid/harness lines) — the checkpoint fingerprint's preimage.
 [[nodiscard]] std::string FingerprintText(const ScenarioSpec& spec);
 
-/// Throws std::invalid_argument unless run.econ.energy_price and
-/// run.econ.value_decay are >= 0. The one-line message names the spec key
-/// and its CLI flag. sim::RunOptionsFromSpec calls it, so a spec file and
-/// the command line are refused by the same check.
-void RequireValidEcon(const econ::EconModel& econ);
+/// Throws std::invalid_argument for the first knob outside its range, with
+/// a one-line "key (flag) must be ..., got value" message.
+/// sim::RunOptionsFromSpec calls it, so a spec file and the command line are
+/// refused by the same check.
+void RequireValidSpec(const ScenarioSpec& spec);
 
 /// FNV-1a (16 hex chars) over FingerprintText.
 [[nodiscard]] std::string SpecFingerprint(const ScenarioSpec& spec);

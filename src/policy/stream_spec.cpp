@@ -1,6 +1,6 @@
 #include "policy/stream_spec.hpp"
 
-#include "obs/json.hpp"
+#include "policy/scenario_spec.hpp"
 
 namespace ecdra::policy {
 
@@ -16,67 +16,22 @@ std::string_view RunModeName(RunMode mode) noexcept {
   return "fixed";
 }
 
-bool StreamSpec::any() const noexcept {
-  const StreamSpec defaults;
-  return energy_rate != defaults.energy_rate ||
-         accrual_cap != defaults.accrual_cap ||
-         initial_energy != defaults.initial_energy ||
-         window_length != defaults.window_length ||
-         emergency_enter_fraction != defaults.emergency_enter_fraction ||
-         emergency_exit_fraction != defaults.emergency_exit_fraction ||
-         admission != defaults.admission || defer_rho != defaults.defer_rho ||
-         drop_rho != defaults.drop_rho ||
-         fairness_wait != defaults.fairness_wait ||
-         degraded_enter_fraction != defaults.degraded_enter_fraction ||
-         degraded_exit_fraction != defaults.degraded_exit_fraction ||
-         degraded_rho_scale != defaults.degraded_rho_scale;
-}
-
-namespace {
-
-void Describe(std::string& out, std::string_view key, const std::string& value,
-              const std::string& default_value) {
-  if (value == default_value) return;
-  if (!out.empty()) out += ", ";
-  out += key;
-  out += " = ";
-  out += value;
-}
-
-void DescribeNum(std::string& out, std::string_view key, double value,
-                 double default_value) {
-  Describe(out, key, obs::json::Number(value),
-           obs::json::Number(default_value));
-}
-
-}  // namespace
+bool StreamSpec::any() const { return !DescribeStreamFields(*this).empty(); }
 
 std::string DescribeStreamFields(const StreamSpec& stream) {
-  const StreamSpec defaults;
+  ScenarioSpec spec;
+  spec.stream = stream;
+  const ScenarioSpec defaults;
   std::string out;
-  DescribeNum(out, "stream.energy_rate", stream.energy_rate,
-              defaults.energy_rate);
-  DescribeNum(out, "stream.accrual_cap", stream.accrual_cap,
-              defaults.accrual_cap);
-  DescribeNum(out, "stream.initial_energy", stream.initial_energy,
-              defaults.initial_energy);
-  DescribeNum(out, "stream.window_length", stream.window_length,
-              defaults.window_length);
-  DescribeNum(out, "stream.emergency_enter", stream.emergency_enter_fraction,
-              defaults.emergency_enter_fraction);
-  DescribeNum(out, "stream.emergency_exit", stream.emergency_exit_fraction,
-              defaults.emergency_exit_fraction);
-  Describe(out, "stream.admission", stream.admission, defaults.admission);
-  DescribeNum(out, "stream.defer_rho", stream.defer_rho, defaults.defer_rho);
-  DescribeNum(out, "stream.drop_rho", stream.drop_rho, defaults.drop_rho);
-  DescribeNum(out, "stream.fairness_wait", stream.fairness_wait,
-              defaults.fairness_wait);
-  DescribeNum(out, "stream.degraded_enter", stream.degraded_enter_fraction,
-              defaults.degraded_enter_fraction);
-  DescribeNum(out, "stream.degraded_exit", stream.degraded_exit_fraction,
-              defaults.degraded_exit_fraction);
-  DescribeNum(out, "stream.degraded_rho_scale", stream.degraded_rho_scale,
-              defaults.degraded_rho_scale);
+  for (const Knob& knob : Knobs()) {
+    if (!knob.key.starts_with("stream.")) continue;
+    const std::string value = knob.get(spec);
+    if (value == knob.get(defaults)) continue;
+    if (!out.empty()) out += ", ";
+    out += knob.key;
+    out += " = ";
+    out += value;
+  }
   return out;
 }
 
@@ -86,10 +41,10 @@ void RequireStreamCompatible(RunMode mode, const StreamSpec& stream) {
     throw StreamSpecError(
         "stream mode requires stream.energy_rate > 0 (set --energy-rate)");
   }
-  if (!stream.any()) return;
+  const std::string fields = DescribeStreamFields(stream);
+  if (fields.empty()) return;
   throw StreamSpecError(std::string(RunModeName(mode)) +
-                        " mode cannot honor a streaming scenario: " +
-                        DescribeStreamFields(stream) +
+                        " mode cannot honor a streaming scenario: " + fields +
                         " (run with --stream, or drop the stream block)");
 }
 

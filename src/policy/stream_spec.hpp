@@ -4,15 +4,10 @@
 // zeta_max; the streaming extension serves the same trace against an energy
 // *rate* — joules accrue into a capped account while cores debit it through
 // the exact Eq. 1/2 accounting. A ScenarioSpec carries the stream block as
-// plain data here so every consumer (CLI, checkpoint fingerprint, bench)
-// names the configuration the same way; the accrual/admission machinery
-// itself lives in src/stream and the engine.
-//
-// Run-mode selection is explicit (RunMode), never inferred: a spec whose
-// stream block is populated but executed by a consumer that cannot stream
-// (the fixed-trace paper mode, the batch stack) is refused with a typed
-// one-line StreamSpecError naming the stream.* fields — silently ignoring
-// the block would report paper-mode results under a streaming label.
+// plain data here; the accrual/admission machinery lives in src/stream and
+// the engine. Run-mode selection is explicit (RunMode), never inferred: a
+// stream block handed to a consumer that cannot stream is refused with a
+// typed one-line StreamSpecError naming the stream.* fields.
 #pragma once
 
 #include <stdexcept>
@@ -78,7 +73,7 @@ struct StreamSpec {
 
   /// True when any field differs from its default — the spec carries a
   /// stream block that a non-streaming consumer must refuse.
-  [[nodiscard]] bool any() const noexcept;
+  [[nodiscard]] bool any() const;
 };
 
 /// A stream block handed to a consumer that cannot honor it (or a stream
@@ -91,7 +86,8 @@ class StreamSpecError : public std::invalid_argument {
 };
 
 /// "stream.energy_rate = 80, stream.admission = rho" — the non-default
-/// fields of the block, in canonical emission order.
+/// fields of the block, in canonical order: a walk over the stream.* rows of
+/// the knob table (scenario_spec.hpp).
 [[nodiscard]] std::string DescribeStreamFields(const StreamSpec& stream);
 
 /// Throws StreamSpecError unless `mode` can honor `stream`: kStream

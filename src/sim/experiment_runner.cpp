@@ -70,29 +70,14 @@ ExperimentSetup BuildExperimentSetup(const policy::ScenarioSpec& spec) {
 }
 
 RunOptions RunOptionsFromSpec(const policy::ScenarioSpec& spec) {
-  // Typed refusal up front: a fixed-trace run cannot honor a streaming
-  // scenario (and a streaming run needs a rate), so the mismatch is
-  // diagnosed here — naming the incompatible stream.* fields — instead of
-  // silently ignoring the block.
+  // One check for every knob, whether a spec file or a flag set it; then
+  // the typed refusal of a stream block the run mode cannot honor (and a
+  // streaming run without a rate), naming the incompatible stream.* fields
+  // instead of silently ignoring the block.
+  policy::RequireValidSpec(spec);
   policy::RequireStreamCompatible(spec.mode, spec.stream);
-  policy::RequireValidEcon(spec.econ);
   RunOptions options;
-  options.num_trials = spec.num_trials;
-  options.idle_policy = spec.idle_policy;
-  options.cancel_policy = spec.cancel_policy;
-  options.pstate_transition_latency = spec.pstate_transition_latency;
-  options.power_cov = spec.power_cov;
-  options.filter_options = spec.filter_options;
-  options.fault = spec.fault;
-  options.fault_domains = spec.fault_domains;
-  options.recovery = spec.recovery;
-  options.gang_placement = spec.jobs_placement;
-  options.governor = spec.governor;
-  options.mode = spec.mode;
-  options.stream = spec.stream;
-  options.econ_enabled = spec.econ_enabled;
-  options.econ = spec.econ;
-  options.validation = spec.validation;
+  static_cast<policy::RunKnobs&>(options) = spec;
   return options;
 }
 
@@ -155,13 +140,14 @@ TrialResult RunSingleTrial(const ExperimentSetup& setup,
       .trial_index = trial_index,
       .fault_schedule = {},
       .recovery_policy = options.recovery,
+      .fault_domains = {},
       .validation = options.validation,
       .validation_fail_fast = options.validation_fail_fast,
       .trial_timeout = options.trial_timeout,
       .governor = options.governor,
       .stream = stream_config,
       .jobs = {.enabled = setup.workload.jobs.enabled,
-               .placement = options.gang_placement},
+               .placement = options.jobs_placement},
       .econ = {.enabled = econ_active, .model = options.econ},
   };
   if (options.fault.enabled()) {

@@ -57,7 +57,9 @@ TEST(FaultModel, ScheduleIsDeterministicSortedAndBounded) {
     EXPECT_GT(a.events[i].time, 0.0);
     EXPECT_LT(a.events[i].time, options.horizon);
     EXPECT_LT(a.events[i].flat_core, cluster.total_cores());
-    if (i > 0) EXPECT_LE(a.events[i - 1].time, a.events[i].time);
+    if (i > 0) {
+      EXPECT_LE(a.events[i - 1].time, a.events[i].time);
+    }
   }
 }
 

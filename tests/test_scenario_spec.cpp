@@ -7,8 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <fstream>
+#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "experiment/paper_config.hpp"
 #include "sim/checkpoint.hpp"
@@ -17,33 +21,57 @@
 namespace ecdra {
 namespace {
 
-/// A spec with every field moved off its default, so a round-trip that
-/// silently drops a key would be caught.
+/// A spec with every knob moved off its default, so a round-trip, a copy, or
+/// a fingerprint that silently drops a key would be caught.
 policy::ScenarioSpec FullyCustomSpec() {
   policy::ScenarioSpec spec;
   spec.master_seed = 77;
-  spec.environment.cluster.num_nodes = 5;
-  spec.environment.cluster.min_processors = 2;
-  spec.environment.cluster.max_processors = 3;
-  spec.environment.cluster.min_power_efficiency = 0.85;
+  cluster::ClusterBuilderOptions& cl = spec.environment.cluster;
+  cl.num_nodes = 5;
+  cl.min_processors = 2;
+  cl.max_processors = 3;
+  cl.min_cores_per_processor = 2;
+  cl.max_cores_per_processor = 3;
+  cl.min_power_efficiency = 0.85;
+  cl.max_power_efficiency = 0.95;
+  cl.min_step_gain = 0.1;
+  cl.max_step_gain = 0.3;
+  cl.min_frequency_fraction = 0.5;
+  cl.min_p0_power_watts = 110.0;
+  cl.max_p0_power_watts = 140.0;
+  cl.min_low_voltage = 0.95;
+  cl.max_low_voltage = 1.1;
+  cl.min_high_voltage = 1.35;
+  cl.max_high_voltage = 1.6;
   spec.environment.cvb.num_task_types = 25;
   spec.environment.cvb.task_mean = 500.0;
   spec.environment.cvb.task_cov = 0.3;
   spec.environment.cvb.machine_cov = 0.2;
   spec.environment.discretize.num_impulses = 16;
   spec.environment.discretize.tail_clip = 1e-5;
-  spec.environment.workload.arrivals =
+  workload::WorkloadGeneratorOptions& wl = spec.environment.workload;
+  wl.arrivals =
       workload::ArrivalSpec::PaperBursty(30, 60, 1.0 / 7.0, 1.0 / 31.0);
-  spec.environment.workload.load_factor_scale = 1.25;
-  spec.environment.workload.priority_classes = {{1.0, 0.7}, {4.0, 0.3}};
+  wl.load_factor_scale = 1.25;
+  wl.priority_classes = {{1.0, 0.7}, {4.0, 0.3}};
+  wl.jobs.enabled = true;
+  wl.jobs.widths = {{1, 0.6}, {2, 0.4}};
+  wl.jobs.depths = {{1, 0.5}, {2, 0.5}};
+  wl.jobs.deadline_scale = 1.5;
   spec.environment.budget_task_count = 800.0;
   spec.environment.exec_cov = 0.4;
   spec.idle_policy = policy::IdlePolicy::kPowerGated;
   spec.cancel_policy = policy::CancelPolicy::kCancelHopelessQueued;
   spec.pstate_transition_latency = 0.25;
   spec.power_cov = 0.1;
-  spec.filter_options.energy.low_multiplier = 1.1;
-  spec.filter_options.energy.scale_fair_share_by_priority = true;
+  core::EnergyFilterOptions& en = spec.filter_options.energy;
+  en.low_multiplier = 1.1;
+  en.mid_multiplier = 1.2;
+  en.high_multiplier = 1.4;
+  en.low_depth = 0.7;
+  en.high_depth = 1.3;
+  en.scale_fair_share_by_priority = true;
+  en.priority_baseline = 2.0;
   spec.filter_options.robustness_threshold = 0.65;
   spec.fault.mtbf = 5000.0;
   spec.fault.lifetime = fault::LifetimeDistribution::kWeibull;
@@ -51,14 +79,29 @@ policy::ScenarioSpec FullyCustomSpec() {
   spec.fault.repair_time = 120.0;
   spec.fault.throttle_interval = 300.0;
   spec.fault.throttle_duration = 30.0;
-  spec.fault.throttle_floor = 2;
+  spec.fault.throttle_floor = 3;
   spec.fault.horizon = 9999.0;
   spec.fault.domain_mtbf = 20000.0;
   spec.fault.domain_repair_time = 600.0;
   spec.fault.cascade_throttle = true;
   spec.fault_domains = "rackA:0-2,rackB:3-4";
   spec.recovery = fault::RecoveryPolicy::kMigrateQueued;
+  spec.jobs_placement = "serial";
   spec.governor = "budget-feedback";
+  spec.mode = policy::RunMode::kStream;
+  spec.stream.energy_rate = 80.0;
+  spec.stream.accrual_cap = 5e5;
+  spec.stream.initial_energy = 1e5;
+  spec.stream.window_length = 900.0;
+  spec.stream.emergency_enter_fraction = 0.1;
+  spec.stream.emergency_exit_fraction = 0.3;
+  spec.stream.admission = "rho";
+  spec.stream.defer_rho = 0.4;
+  spec.stream.drop_rho = 0.1;
+  spec.stream.fairness_wait = 2000.0;
+  spec.stream.degraded_enter_fraction = 0.3;
+  spec.stream.degraded_exit_fraction = 0.15;
+  spec.stream.degraded_rho_scale = 2.0;
   spec.econ_enabled = true;
   spec.econ.type_values = {1.0, 4.0, 0.5};
   spec.econ.tiers = {econ::SlaTier{"gold", 3.0, 2.0, 0.8, 0.2},
@@ -226,19 +269,23 @@ TEST(ScenarioSpec, FingerprintCoversResultShapingKnobsOnly) {
 }
 
 TEST(ScenarioSpec, CheckpointConfigFingerprintIsTheSpecFingerprint) {
-  policy::ScenarioSpec spec = experiment::PaperScenario();
+  policy::ScenarioSpec shrunk = experiment::PaperScenario();
   // Shrink so BuildExperimentSetup stays fast.
-  spec.environment.cluster.num_nodes = 3;
-  spec.environment.cvb.num_task_types = 10;
-  spec.environment.workload.arrivals =
+  shrunk.environment.cluster.num_nodes = 3;
+  shrunk.environment.cvb.num_task_types = 10;
+  shrunk.environment.workload.arrivals =
       workload::ArrivalSpec::PaperBursty(10, 20, 1.0 / 8.0, 1.0 / 48.0);
-  spec.filter_options.robustness_threshold = 0.6;
-  spec.idle_policy = policy::IdlePolicy::kStayAtLast;
+  shrunk.filter_options.robustness_threshold = 0.6;
+  shrunk.idle_policy = policy::IdlePolicy::kStayAtLast;
 
-  const sim::ExperimentSetup setup = sim::BuildExperimentSetup(spec);
-  const sim::RunOptions options = sim::RunOptionsFromSpec(spec);
-  EXPECT_EQ(sim::ConfigFingerprint(setup, options),
-            policy::SpecFingerprint(spec));
+  // FullyCustomSpec moves every run knob, gang placement included, so a
+  // knob the checkpoint path drops changes the hash.
+  for (const policy::ScenarioSpec& spec : {shrunk, FullyCustomSpec()}) {
+    const sim::ExperimentSetup setup = sim::BuildExperimentSetup(spec);
+    const sim::RunOptions options = sim::RunOptionsFromSpec(spec);
+    EXPECT_EQ(sim::ConfigFingerprint(setup, options),
+              policy::SpecFingerprint(spec));
+  }
 }
 
 TEST(ScenarioSpec, BuildExperimentSetupRecordsItsRecipe) {
@@ -281,10 +328,25 @@ TEST(ScenarioSpec, RunOptionsFromSpecCopiesEveryRunKnob) {
   EXPECT_EQ(options.fault.cascade_throttle, spec.fault.cascade_throttle);
   EXPECT_EQ(options.fault_domains, spec.fault_domains);
   EXPECT_EQ(options.recovery, spec.recovery);
+  EXPECT_EQ(options.jobs_placement, spec.jobs_placement);
   EXPECT_EQ(options.governor, spec.governor);
+  EXPECT_EQ(options.mode, spec.mode);
+  EXPECT_EQ(options.stream.energy_rate, spec.stream.energy_rate);
+  EXPECT_EQ(options.stream.admission, spec.stream.admission);
+  EXPECT_EQ(options.stream.degraded_rho_scale,
+            spec.stream.degraded_rho_scale);
   EXPECT_EQ(options.validation, spec.validation);
   EXPECT_EQ(options.econ_enabled, spec.econ_enabled);
   EXPECT_EQ(options.econ, spec.econ);
+
+  // Every knob, through the table: the run knobs copied back over the
+  // spec's seed, environment, and grid reproduce its canonical text.
+  policy::ScenarioSpec back;
+  static_cast<policy::RunKnobs&>(back) = options;
+  back.master_seed = spec.master_seed;
+  back.environment = spec.environment;
+  back.grid = spec.grid;
+  EXPECT_EQ(policy::CanonicalSpecText(back), policy::CanonicalSpecText(spec));
 }
 
 TEST(ScenarioSpec, RunOptionsFromSpecRefusesNegativeEconKnobs) {
@@ -306,6 +368,70 @@ TEST(ScenarioSpec, RunOptionsFromSpecRefusesNegativeEconKnobs) {
   zero.econ.energy_price = 0.0;
   zero.econ.value_decay = 0.0;
   EXPECT_NO_THROW((void)sim::RunOptionsFromSpec(zero));
+}
+
+TEST(ScenarioSpec, EveryKnobRowAppearsOnceAndFullyCustomMovesIt) {
+  const std::string text = policy::CanonicalSpecText(FullyCustomSpec());
+  const policy::ScenarioSpec defaults;
+  std::size_t rows = 0;
+  for (const policy::Knob& knob : policy::Knobs()) {
+    SCOPED_TRACE(std::string(knob.key));
+    ++rows;
+    const std::string line = std::string("\n").append(knob.key) + " = ";
+    const std::size_t at = text.find(line);
+    ASSERT_NE(at, std::string::npos);
+    EXPECT_EQ(text.find(line, at + 1), std::string::npos);
+    // A knob the fixture leaves at its default would let a dropped field
+    // pass the round-trip and copy tests unnoticed.
+    EXPECT_NE(knob.get(FullyCustomSpec()), knob.get(defaults));
+    EXPECT_TRUE(knob.in_bounds(FullyCustomSpec()));
+  }
+  // One line per row plus the header: no key is emitted outside the table.
+  EXPECT_EQ(static_cast<std::size_t>(std::count(text.begin(), text.end(),
+                                                '\n')),
+            rows + 1);
+}
+
+std::string ReadGolden(const std::string& name) {
+  std::ifstream in(std::string(ECDRA_GOLDEN_DIR) + "/" + name);
+  EXPECT_TRUE(in.good()) << name;
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+TEST(ScenarioSpec, CanonicalTextMatchesTheRecordedFormat) {
+  // Recorded from the per-key emitter that preceded the knob table: the
+  // table must reproduce it byte for byte, fingerprint subset included.
+  const std::pair<const char*, policy::ScenarioSpec> cases[] = {
+      {"spec_paper.txt", experiment::PaperScenario()},
+      {"spec_fully_custom.txt", FullyCustomSpec()}};
+  for (const auto& [name, spec] : cases) {
+    SCOPED_TRACE(name);
+    const std::string golden = ReadGolden(name);
+    EXPECT_EQ(policy::CanonicalSpecText(spec), golden);
+    const std::size_t grid = golden.find("grid.heuristics = ");
+    ASSERT_NE(grid, std::string::npos);
+    EXPECT_EQ(policy::FingerprintText(spec),
+              "ecdra-scenario-fingerprint v6\n" +
+                  golden.substr(golden.find('\n') + 1,
+                                grid - golden.find('\n') - 1));
+  }
+}
+
+TEST(ScenarioSpec, RequireValidSpecNamesTheKeyFlagAndValue) {
+  policy::ScenarioSpec spec;
+  spec.environment.workload.jobs.widths = {{0, 1.0}};
+  try {
+    policy::RequireValidSpec(spec);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_STREQ(error.what(),
+                 "env.workload.jobs.widths (--job-widths) must have values "
+                 ">= 1 and probabilities > 0, got 0@1");
+  }
+  EXPECT_NO_THROW(policy::RequireValidSpec(policy::ScenarioSpec{}));
+  EXPECT_NO_THROW(policy::RequireValidSpec(experiment::PaperScenario()));
 }
 
 TEST(Fnv1a64, MatchesKnownVectors) {
