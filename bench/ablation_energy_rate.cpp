@@ -107,7 +107,7 @@ int main(int argc, char** argv) {
         const sim::SummaryStatistics summary = sim::SummarizeTrials(results);
 
         table.AddRow({
-            "x" + stats::Table::Num(scale, 2),
+            std::string("x").append(stats::Table::Num(scale, 2)),
             governor,
             admission,
             stats::Table::Num(summary.mean_missed, 1),

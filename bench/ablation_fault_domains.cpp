@@ -3,19 +3,17 @@
 // domains (default grouping: one domain per node, so each outage removes
 // every core of a node at once) and repairs them, sweeping the per-domain
 // MTBF from infinity (the paper's fault-free setting) down to a few outages
-// per domain per window, under all three recovery policies.
+// per domain per window, under both recovery policies.
 //
 // The energy budget is relaxed to 3x the paper's zeta_max for the same
 // reason as the fault-rate ablation: under the tight budget a dark domain
 // stops drawing idle power and the budget stretch masks the capacity loss.
 //
 // Expected shape: on-time completions fall as the domain MTBF drops, and
-// the recovery policies order as migrate >= requeue >= drop — drop forfeits
-// every task stranded on a dark domain, requeue re-enters them through
-// normal mapping, and migrate additionally re-plans the queued backlog
-// against the survivors in waiting-time-per-joule order. The acceptance
-// gate (exit 1 on regression) enforces that ordering on mean on-time
-// completions at the highest outage rate.
+// requeue >= drop — drop forfeits every task stranded on a dark domain,
+// requeue re-enters them through normal mapping. The acceptance gate (exit
+// 1 on regression) enforces that ordering on mean on-time completions at
+// the highest outage rate.
 //
 // Usage: ./ablation_fault_domains [num_trials | --smoke] [--json PATH]
 //        (default 10 trials; --smoke = 2 trials, the CI configuration;
@@ -72,8 +70,7 @@ int main(int argc, char** argv) {
   const double repair_time = 4000.0;
   const std::vector<fault::RecoveryPolicy> recoveries{
       fault::RecoveryPolicy::kDropQueued,
-      fault::RecoveryPolicy::kRequeueToScheduler,
-      fault::RecoveryPolicy::kMigrateQueued};
+      fault::RecoveryPolicy::kRequeueToScheduler};
 
   std::cout << "== Ablation: domain-outage rate x recovery policy (LL "
             << "en+rob, " << num_trials << " trials; one domain per node, "
@@ -82,11 +79,10 @@ int main(int argc, char** argv) {
 
   stats::Table table({"domain mtbf", "recovery", "mean on-time",
                       "mean missed", "mean outages", "mean lost",
-                      "mean remapped", "mean migrated"});
+                      "mean remapped"});
   std::vector<Cell> cells;
   double on_time_drop = 0.0;
   double on_time_requeue = 0.0;
-  double on_time_migrate = 0.0;
 
   for (const double domain_mtbf : domain_mtbfs) {
     for (const fault::RecoveryPolicy recovery : recoveries) {
@@ -114,7 +110,6 @@ int main(int argc, char** argv) {
           stats::Table::Num(summary.mean_domain_outages, 1),
           stats::Table::Num(summary.mean_tasks_lost, 1),
           stats::Table::Num(summary.mean_remapped, 1),
-          stats::Table::Num(summary.mean_migrated, 1),
       });
       cells.push_back(
           Cell{domain_mtbf,
@@ -124,16 +119,10 @@ int main(int argc, char** argv) {
                summary});
 
       if (domain_mtbf == harshest) {
-        switch (recovery) {
-          case fault::RecoveryPolicy::kDropQueued:
-            on_time_drop = summary.mean_completed;
-            break;
-          case fault::RecoveryPolicy::kRequeueToScheduler:
-            on_time_requeue = summary.mean_completed;
-            break;
-          case fault::RecoveryPolicy::kMigrateQueued:
-            on_time_migrate = summary.mean_completed;
-            break;
+        if (recovery == fault::RecoveryPolicy::kDropQueued) {
+          on_time_drop = summary.mean_completed;
+        } else {
+          on_time_requeue = summary.mean_completed;
         }
       }
     }
@@ -160,9 +149,7 @@ int main(int argc, char** argv) {
              ",\"mean_lost\":" +
              obs::json::Number(cell.summary.mean_tasks_lost) +
              ",\"mean_remapped\":" +
-             obs::json::Number(cell.summary.mean_remapped) +
-             ",\"mean_migrated\":" +
-             obs::json::Number(cell.summary.mean_migrated) + "}}";
+             obs::json::Number(cell.summary.mean_remapped) + "}}";
     }
     out += "]}\n";
     std::ofstream os(json_path, std::ios::trunc);
@@ -178,15 +165,14 @@ int main(int argc, char** argv) {
 
   std::cout << "\nacceptance: mean on-time completions at domain mtbf "
             << stats::Table::Num(harshest, 0)
-            << " -- migrate = " << stats::Table::Num(on_time_migrate, 1)
-            << ", requeue = " << stats::Table::Num(on_time_requeue, 1)
+            << " -- requeue = " << stats::Table::Num(on_time_requeue, 1)
             << ", drop = " << stats::Table::Num(on_time_drop, 1) << "\n";
-  if (on_time_migrate < on_time_requeue || on_time_requeue < on_time_drop) {
-    std::cout << "FAIL: recovery policies must order migrate >= requeue >= "
-                 "drop on on-time completions at the highest outage rate.\n";
+  if (on_time_requeue < on_time_drop) {
+    std::cout << "FAIL: recovery policies must order requeue >= drop on "
+                 "on-time completions at the highest outage rate.\n";
     return 1;
   }
-  std::cout << "OK: migrate >= requeue >= drop on on-time completions under "
-               "the harshest domain-outage rate.\n";
+  std::cout << "OK: requeue >= drop on on-time completions under the "
+               "harshest domain-outage rate.\n";
   return 0;
 }

@@ -19,10 +19,19 @@
 // exhaustion and must complete at least as many tasks on time as static at
 // the tightest budget — the process exits 1 if that regresses.
 //
+// With econ off "profit-guard" never acts (it is static), so one econ-priced
+// cell at the full budget follows: unit task values, an energy price of
+// 2e-05 per joule and a 2250 s value decay, the regime where the bill
+// outweighs the revenue (cf. Li et al., arXiv:1501.05414). There
+// profit-guard must net at least as much as static and budget-feedback —
+// the process exits 1 otherwise.
+//
 // Usage: ./ablation_governor [num_trials | --smoke]   (default 10 trials;
 //        --smoke = 2 trials, the CI configuration)
+#include <algorithm>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -79,12 +88,13 @@ int main(int argc, char** argv) {
     run.num_trials = num_trials;
     run.collect_counters = true;
     const experiment::FigureResult figure = experiment::RunFigure(
-        setup, "budget x" + stats::Table::Num(scale, 1), series, run);
+        setup, std::string("budget x").append(stats::Table::Num(scale, 1)),
+        series, run);
 
     for (const experiment::SeriesResult& result : figure.series) {
       const obs::Counters& counters = result.summary.counters;
       table.AddRow({
-          "x" + stats::Table::Num(scale, 1),
+          std::string("x").append(stats::Table::Num(scale, 1)),
           result.spec.label,
           stats::Table::Num(result.summary.mean_missed, 1),
           stats::Table::Num(result.summary.mean_completed, 1),
@@ -104,6 +114,38 @@ int main(int argc, char** argv) {
   }
   table.PrintText(std::cout);
 
+  sim::RunOptions econ_run;
+  econ_run.num_trials = num_trials;
+  econ_run.econ_enabled = true;
+  econ_run.econ.type_values = {1.0};
+  econ_run.econ.energy_price = 2e-05;
+  econ_run.econ.value_decay = 2250.0;
+  const sim::ExperimentSetup paper_setup = sim::BuildExperimentSetup(
+      experiment::kPaperMasterSeed, experiment::PaperSetupOptions());
+  std::cout << "\necon cell: budget x1.0, price "
+            << stats::Table::Num(econ_run.econ.energy_price, 5)
+            << " /J, value decay "
+            << stats::Table::Num(econ_run.econ.value_decay, 0) << " s\n";
+  stats::Table econ_table(
+      {"governor", "net profit", "revenue", "energy cost", "mean on-time"});
+  double guard_net = 0.0;
+  double best_other_net = -std::numeric_limits<double>::infinity();
+  for (const std::string& name : governors) {
+    econ_run.governor = name;
+    const sim::SummaryStatistics summary = sim::SummarizeTrials(
+        sim::RunTrials(paper_setup, "LL", "en+rob", econ_run));
+    econ_table.AddRow({name, stats::Table::Num(summary.mean_net_profit, 1),
+                       stats::Table::Num(summary.mean_revenue, 1),
+                       stats::Table::Num(summary.mean_energy_cost, 1),
+                       stats::Table::Num(summary.mean_completed, 1)});
+    if (name == "profit-guard") {
+      guard_net = summary.mean_net_profit;
+    } else {
+      best_other_net = std::max(best_other_net, summary.mean_net_profit);
+    }
+  }
+  econ_table.PrintText(std::cout);
+
   std::cout << "\nacceptance: budget-feedback mean on-time completions at the "
             << "tightest budget (x" << stats::Table::Num(tightest, 1)
             << ") = " << stats::Table::Num(feedback_on_time_at_tightest, 1)
@@ -116,5 +158,15 @@ int main(int argc, char** argv) {
   }
   std::cout << "OK: the closed loop holds or beats the open-loop baseline "
                "under the tightest budget.\n";
+  std::cout << "acceptance: profit-guard mean net profit in the econ cell = "
+            << stats::Table::Num(guard_net, 1)
+            << ", best other governor = "
+            << stats::Table::Num(best_other_net, 1) << "\n";
+  if (guard_net < best_other_net) {
+    std::cout << "FAIL: profit-guard nets less than another governor when "
+                 "energy is priced.\n";
+    return 1;
+  }
+  std::cout << "OK: profit-guard nets the most when energy is priced.\n";
   return 0;
 }

@@ -70,8 +70,11 @@ int main(int argc, char** argv) {
         count[b] == 0
             ? 0.0
             : static_cast<double>(on_time[b]) / static_cast<double>(count[b]);
-    table.AddRow({"[" + stats::Table::Num(lo, 1) + ", " +
-                      stats::Table::Num(hi, 1) + ")",
+    table.AddRow({std::string("[")
+                      .append(stats::Table::Num(lo, 1))
+                      .append(", ")
+                      .append(stats::Table::Num(hi, 1))
+                      .append(")"),
                   std::to_string(count[b]), stats::Table::Num(rate, 3),
                   stats::Table::Num(0.5 * (lo + hi), 2)});
   }

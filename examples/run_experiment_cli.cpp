@@ -432,10 +432,9 @@ int main(int argc, char** argv) {
               << summary.mean_tasks_lost << ", mean remapped "
               << summary.mean_remapped << " (on time "
               << summary.mean_remapped_on_time << ")\n";
-    if (summary.mean_domain_outages > 0.0 || summary.mean_migrated > 0.0) {
+    if (summary.mean_domain_outages > 0.0) {
       std::cout << "    domains: mean outages " << summary.mean_domain_outages
-                << ", mean migrated " << summary.mean_migrated << " (on time "
-                << summary.mean_migrated_on_time << ")\n";
+                << "\n";
     }
   }
   if (run.mode == policy::RunMode::kStream && !sweep.results.empty()) {

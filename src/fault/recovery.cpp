@@ -11,8 +11,6 @@ std::string_view RecoveryPolicyName(RecoveryPolicy policy) noexcept {
       return "drop";
     case RecoveryPolicy::kRequeueToScheduler:
       return "requeue";
-    case RecoveryPolicy::kMigrateQueued:
-      return "migrate";
   }
   return "unknown";
 }
@@ -20,14 +18,13 @@ std::string_view RecoveryPolicyName(RecoveryPolicy policy) noexcept {
 RecoveryPolicy ParseRecoveryPolicy(std::string_view name) {
   if (name == "drop") return RecoveryPolicy::kDropQueued;
   if (name == "requeue") return RecoveryPolicy::kRequeueToScheduler;
-  if (name == "migrate") return RecoveryPolicy::kMigrateQueued;
   throw std::invalid_argument("unknown recovery policy: " + std::string(name) +
                               " (valid: " + std::string(RecoveryPolicyNames()) +
                               ")");
 }
 
 std::string_view RecoveryPolicyNames() noexcept {
-  return "drop, requeue, migrate";
+  return "drop, requeue";
 }
 
 }  // namespace ecdra::fault

@@ -17,16 +17,9 @@ enum class RecoveryPolicy {
   /// instant, passing through the energy and robustness filters again
   /// against the surviving cores. Tasks the filters reject are lost.
   kRequeueToScheduler,
-  /// Migration-aware recovery: the running task restarts via the requeue
-  /// path, but queued (not-yet-started) tasks are *migrated* — re-planned in
-  /// waiting-time-per-joule order through the identical filter chain against
-  /// the surviving cores, with their already-elapsed queue wait preserved.
-  /// In streaming mode migrated tasks bypass admission: they were already
-  /// admitted once (mirror of the fault-requeue rule for running tasks).
-  kMigrateQueued,
 };
 
-/// Stable short name: "drop" / "requeue" / "migrate".
+/// Stable short name: "drop" / "requeue".
 [[nodiscard]] std::string_view RecoveryPolicyName(RecoveryPolicy policy) noexcept;
 
 /// Inverse of RecoveryPolicyName; throws std::invalid_argument for unknown
@@ -34,7 +27,7 @@ enum class RecoveryPolicy {
 [[nodiscard]] RecoveryPolicy ParseRecoveryPolicy(std::string_view name);
 
 /// Comma-separated list of every recognised policy name, for CLI choice
-/// lists and error diagnostics ("drop, requeue, migrate").
+/// lists and error diagnostics ("drop, requeue").
 [[nodiscard]] std::string_view RecoveryPolicyNames() noexcept;
 
 }  // namespace ecdra::fault

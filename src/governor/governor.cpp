@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 namespace ecdra::governor {
 
@@ -29,28 +28,6 @@ class StaticGovernor final : public Governor {
   [[nodiscard]] std::string_view name() const override { return "static"; }
   [[nodiscard]] GovernorCadence cadence() const override { return {}; }
   void Govern(const GovernorObservation&, GovernorHost&) override {}
-};
-
-/// Race-to-idle: tasks run at whatever state the heuristic chose, but a core
-/// with nothing assigned is power-gated instead of drawing the deepest
-/// P-state's idle power. Under IdlePolicy::kPowerGated idle cores already
-/// draw nothing and every park request refuses — the governor degrades to a
-/// no-op, as it should.
-class RaceToIdleGovernor final : public Governor {
- public:
-  [[nodiscard]] std::string_view name() const override {
-    return "race-to-idle";
-  }
-  [[nodiscard]] GovernorCadence cadence() const override {
-    return GovernorCadence{.on_completion = true};
-  }
-  void Govern(const GovernorObservation& observation,
-              GovernorHost& host) override {
-    for (std::size_t flat = 0; flat < observation.cores.size(); ++flat) {
-      const CoreView& core = observation.cores[flat];
-      if (!core.busy && !core.parked) (void)host.ParkIdleCore(flat);
-    }
-  }
 };
 
 /// Proportional controller on the observed burn against the linear budget
@@ -107,64 +84,6 @@ class BudgetFeedbackGovernor final : public Governor {
   }
 };
 
-/// Caps a core's P-state set only when the slack pmf tolerates it: the cap
-/// must leave the probability of the core's earliest-deadline work finishing
-/// on time above kConfidence even if every remaining unit of work stretched
-/// by the capped state's worst-case slowdown. Idle cores carry no slack
-/// information and stay uncapped.
-class DeadlineAwareGovernor final : public Governor {
- public:
-  static constexpr double kConfidence = 0.9;
-  static constexpr double kTickPeriod = 100.0;
-
-  [[nodiscard]] std::string_view name() const override {
-    return "deadline-aware";
-  }
-  [[nodiscard]] GovernorCadence cadence() const override {
-    return GovernorCadence{.on_completion = true, .tick_period = kTickPeriod};
-  }
-  void Govern(const GovernorObservation& observation,
-              GovernorHost& host) override {
-    for (std::size_t flat = 0; flat < observation.queues.size(); ++flat) {
-      host.SetPStateFloor(flat, FloorFor(observation, flat));
-    }
-  }
-
- private:
-  [[nodiscard]] static cluster::PStateIndex FloorFor(
-      const GovernorObservation& observation, std::size_t flat) {
-    const robustness::CoreQueueModel& queue = observation.queues[flat];
-    if (queue.idle()) return 0;
-    double min_deadline = std::numeric_limits<double>::infinity();
-    if (queue.running()) {
-      min_deadline = std::min(min_deadline, queue.running()->deadline);
-    }
-    for (const robustness::ModeledTask& task : queue.queued()) {
-      min_deadline = std::min(min_deadline, task.deadline);
-    }
-    if (!std::isfinite(min_deadline) || min_deadline <= observation.now) {
-      return 0;  // already hopeless — capping cannot make it worse or better
-    }
-    const cluster::PStateProfile& pstates =
-        observation.cluster->NodeOf(flat).pstates;
-    const pmf::Pmf& ready = queue.ReadyPmf(observation.now);
-    const double slack = min_deadline - observation.now;
-    // Deepest floor whose worst-case stretch (relative to P0) still meets
-    // the earliest deadline with confidence: completion under stretch s is
-    // now + s * (T - now) for T ~ ReadyPmf, so the requirement is
-    // P(T <= now + slack / s) >= kConfidence.
-    for (cluster::PStateIndex floor = cluster::kNumPStates - 1; floor > 0;
-         --floor) {
-      const double stretch =
-          pstates[floor].time_multiplier / pstates[0].time_multiplier;
-      if (ready.CdfAt(observation.now + slack / stretch) >= kConfidence) {
-        return floor;
-      }
-    }
-    return 0;
-  }
-};
-
 /// Econ extension: trades speed against the energy bill by the observed
 /// revenue-per-joule. While the run is earning more per joule than the
 /// meter charges (ratio >= 1) the cluster runs uncapped; as the margin
@@ -217,13 +136,8 @@ class ProfitGuardGovernor final : public Governor {
 
 ECDRA_REGISTER_GOVERNOR("static",
                         [] { return std::make_unique<StaticGovernor>(); })
-ECDRA_REGISTER_GOVERNOR("race-to-idle",
-                        [] { return std::make_unique<RaceToIdleGovernor>(); })
 ECDRA_REGISTER_GOVERNOR("budget-feedback", [] {
   return std::make_unique<BudgetFeedbackGovernor>();
-})
-ECDRA_REGISTER_GOVERNOR("deadline-aware", [] {
-  return std::make_unique<DeadlineAwareGovernor>();
 })
 ECDRA_REGISTER_GOVERNOR("profit-guard", [] {
   return std::make_unique<ProfitGuardGovernor>();

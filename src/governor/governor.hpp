@@ -6,8 +6,8 @@
 // over budget. A Governor closes the loop: the engine invokes it at a
 // cadence the governor declares (per-assignment, per-completion, and/or a
 // periodic tick), hands it a read-only observation of the online energy
-// meter and the per-core queue state, and lets it issue actions through the
-// GovernorHost:
+// meter and the per-core busy/parked state, and lets it issue actions
+// through the GovernorHost:
 //
 //   * SetPStateFloor(core, floor) — re-cap the P-state set candidate
 //     generation may use on one core (0 = no cap; a floor f admits only
@@ -42,10 +42,8 @@
 #include <string_view>
 #include <vector>
 
-#include "cluster/cluster.hpp"
 #include "cluster/pstate.hpp"
 #include "policy/registry.hpp"
-#include "robustness/core_queue_model.hpp"
 
 namespace ecdra::governor {
 
@@ -69,12 +67,9 @@ struct GovernorCadence {
 /// Ground-truth state of one core as the governor sees it.
 struct CoreView {
   bool busy = false;
-  cluster::PStateIndex current_pstate = 0;
   /// The governor parked this core (power-gated while idle) and no task has
   /// started on it since.
   bool parked = false;
-  /// Tasks assigned to the core (running + queued).
-  std::size_t queue_length = 0;
 };
 
 /// Everything a governor may consult when invoked. Spans index by flat core
@@ -85,21 +80,9 @@ struct GovernorObservation {
   double consumed = 0.0;
   /// zeta_max.
   double budget = 0.0;
-  /// Instantaneous cluster draw at the wall, watts.
-  double burn_watts = 0.0;
-  /// The scheduler's remaining-energy estimate (can be negative).
-  double estimated_remaining = 0.0;
   /// Last task arrival time — the horizon of the linear budget schedule.
   double horizon = 0.0;
-  /// Arrivals mapped or discarded so far / total in the window.
-  std::size_t tasks_seen = 0;
-  std::size_t window_size = 0;
-  const cluster::Cluster* cluster = nullptr;
-  /// The resource manager's stochastic queue models (ReadyPmf etc.).
-  std::span<const robustness::CoreQueueModel> queues;
   std::span<const CoreView> cores;
-  /// The deepest (slowest) P-state index — the idle/parking state.
-  cluster::PStateIndex idle_pstate = 0;
   /// Econ extension (src/econ), populated only when a non-trivial EconModel
   /// runs: the price per joule and the revenue realized so far. Zero price
   /// (the default) makes every econ-aware governor a no-op, so pre-econ

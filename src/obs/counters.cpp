@@ -37,7 +37,6 @@ constexpr std::array kFields{
     CounterField{"tasks_remapped", &Counters::tasks_remapped},
     CounterField{"domain_outages_applied", &Counters::domain_outages_applied},
     CounterField{"domain_repairs_applied", &Counters::domain_repairs_applied},
-    CounterField{"tasks_migrated", &Counters::tasks_migrated},
     CounterField{"governor_invocations", &Counters::governor_invocations},
     CounterField{"governor_pstate_caps", &Counters::governor_pstate_caps},
     CounterField{"governor_cores_parked", &Counters::governor_cores_parked},

@@ -75,9 +75,6 @@ struct Counters {
   std::uint64_t domain_outages_applied = 0;
   /// Whole domains returned to service.
   std::uint64_t domain_repairs_applied = 0;
-  /// Queued tasks migrated to surviving cores
-  /// (RecoveryPolicy::kMigrateQueued).
-  std::uint64_t tasks_migrated = 0;
 
   // -- Governor (src/governor; all zero under the "static" baseline) --
   /// Governor invocations (assignment/completion hooks + periodic ticks).

@@ -68,8 +68,7 @@ void WriteFault(std::ostream& os, const FaultEventRecord& fault) {
   }
   if (fault.kind == "failure" || fault.kind == "domain_outage") {
     os << ",\"tasks_lost\":" << fault.tasks_lost
-       << ",\"tasks_requeued\":" << fault.tasks_requeued
-       << ",\"tasks_migrated\":" << fault.tasks_migrated;
+       << ",\"tasks_requeued\":" << fault.tasks_requeued;
   }
   if (fault.kind == "domain_outage" || fault.kind == "domain_repair") {
     os << ",\"domain\":" << fault.domain;

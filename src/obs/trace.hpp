@@ -104,10 +104,9 @@ struct FaultEventRecord {
   /// throttle_start only: the P-state floor imposed on the core.
   std::uint64_t pstate_floor = 0;
   /// failure / domain_outage only: stranded tasks dropped / successfully
-  /// re-mapped (running restarts) / migrated (queued, kMigrateQueued).
+  /// re-mapped.
   std::uint64_t tasks_lost = 0;
   std::uint64_t tasks_requeued = 0;
-  std::uint64_t tasks_migrated = 0;
   /// domain_outage / domain_repair only: the fault-domain index.
   std::uint64_t domain = 0;
 };

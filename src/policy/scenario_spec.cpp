@@ -3,12 +3,11 @@
 #include <algorithm>
 #include <array>
 #include <charconv>
+#include <cmath>
 #include <concepts>
 #include <stdexcept>
 #include <type_traits>
 #include <utility>
-
-#include "obs/json.hpp"
 
 namespace ecdra::policy {
 namespace {
@@ -34,7 +33,13 @@ std::string_view Trim(std::string_view text) {
 // -- Value codecs, chosen by field type. Write gives the canonical text;
 // Read parses it or throws std::invalid_argument saying what it expected.
 
-std::string Write(double value) { return obs::json::Number(value); }
+/// Shortest text that round-trips bit-exactly. A non-finite value writes as
+/// "inf" or "nan" only so RequireValidSpec can name it: it refuses them.
+std::string Write(double value) {
+  char buf[32];
+  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), value);
+  return std::string(buf, ptr);
+}
 std::string Write(bool value) { return value ? "true" : "false"; }
 std::string Write(const std::string& value) { return value; }
 template <std::unsigned_integral T>
@@ -92,8 +97,7 @@ constexpr NameTable<fault::LifetimeDistribution, 2> EnumNames(
 }
 auto EnumNames(fault::RecoveryPolicy) {
   using enum fault::RecoveryPolicy;
-  return Named(fault::RecoveryPolicyName, kDropQueued, kRequeueToScheduler,
-               kMigrateQueued);
+  return Named(fault::RecoveryPolicyName, kDropQueued, kRequeueToScheduler);
 }
 // Batch mode is a stack, not a spec-selectable trial mode.
 auto EnumNames(RunMode) {
@@ -207,6 +211,23 @@ void Read(std::string_view text, std::vector<T>& items) {
   }
 }
 
+/// Whether every number in a knob's value is finite.
+bool Finite(const auto&) { return true; }
+bool Finite(double value) { return std::isfinite(value); }
+bool Finite(const workload::ArrivalPhase& phase) { return Finite(phase.rate); }
+bool Finite(const workload::PriorityClass& cls) {
+  return Finite(cls.weight) && Finite(cls.probability);
+}
+bool Finite(const workload::ShapeClass& cls) { return Finite(cls.probability); }
+bool Finite(const econ::SlaTier& tier) {
+  return Finite(tier.value_multiplier) && Finite(tier.share_multiplier) &&
+         Finite(tier.rho_floor) && Finite(tier.probability);
+}
+template <typename T>
+bool Finite(const std::vector<T>& items) {
+  return std::ranges::all_of(items, [](const T& item) { return Finite(item); });
+}
+
 /// Registry-named knobs: any non-empty token parses; the registry rejects
 /// unknown names at trial setup (examples may register policies the spec
 /// layer has never heard of).
@@ -218,7 +239,7 @@ struct NonEmpty {
 };
 
 // -- Bounds: the range a knob's value must lie in, checked by
-// RequireValidSpec. Comparisons are written so NaN fails them.
+// RequireValidSpec once every number in it is known to be finite.
 
 struct Unbounded {
   static constexpr std::string_view kText{};
@@ -311,9 +332,9 @@ constexpr Knob Row(std::string_view key, Field, Flag flag = {}) {
               Codec::Read(value, Field{}(spec));
             }
           },
-      .bound = Bound::kText,
-      .in_bounds = [](const ScenarioSpec& spec) {
-        return Bound{}(Field{}(spec));
+      .violation = [](const ScenarioSpec& spec) -> std::string_view {
+        if (!Finite(Field{}(spec))) return "must be finite";
+        return Bound{}(Field{}(spec)) ? "" : Bound::kText;
       },
   };
 }
@@ -419,7 +440,7 @@ constexpr Knob kKnobs[] = {
          "'name:lo-hi' flat-core ranges covering every\n"
          "core (empty: one domain per cluster node)"}),
     Row("run.recovery", FIELD(recovery),
-        {"--recovery", "POLICY", "drop | requeue | migrate"}),
+        {"--recovery", "POLICY", "drop | requeue"}),
     Row<Unbounded, NonEmpty>("run.jobs.placement", FIELD(jobs_placement),
                              {"--gang-policy", "NAME", "gang placement"}),
     Row("run.mode", FIELD(mode),
@@ -535,10 +556,11 @@ std::string SpecFingerprint(const ScenarioSpec& spec) {
 
 void RequireValidSpec(const ScenarioSpec& spec) {
   for (const Knob& knob : kKnobs) {
-    if (knob.in_bounds(spec)) continue;
+    const std::string_view violation = knob.violation(spec);
+    if (violation.empty()) continue;
     std::string message(knob.key);
     if (!knob.flag.empty()) message += " (" + std::string(knob.flag) + ")";
-    throw std::invalid_argument(message + " " + std::string(knob.bound) +
+    throw std::invalid_argument(message + " " + std::string(violation) +
                                 ", got " + knob.get(spec));
   }
 }

@@ -131,10 +131,9 @@ struct Knob {
   /// std::invalid_argument saying what was expected).
   std::string (*get)(const ScenarioSpec&) = nullptr;
   void (*set)(ScenarioSpec& spec, std::string_view value) = nullptr;
-  /// The range the value must lie in ("must be >= 0"; "" = any value that
-  /// parses) and whether it does.
-  std::string_view bound;
-  bool (*in_bounds)(const ScenarioSpec&) = nullptr;
+  /// The rule the value breaks ("must be finite", "must be >= 0"), or ""
+  /// when every number in it is finite and it lies in the knob's range.
+  std::string_view (*violation)(const ScenarioSpec&) = nullptr;
 };
 
 /// Every spec key, in canonical order.
@@ -142,7 +141,7 @@ struct Knob {
 
 /// Canonical serialization: a "ecdra-scenario v1" header line followed by
 /// one "key = value" line per knob in table order. Doubles use the shortest
-/// decimal that round-trips bit-exactly (obs::json::Number), so serialize ->
+/// decimal that round-trips bit-exactly (std::to_chars), so serialize ->
 /// parse -> serialize is byte-stable.
 [[nodiscard]] std::string CanonicalSpecText(const ScenarioSpec& spec);
 
@@ -156,8 +155,9 @@ struct Knob {
 /// knobs; no grid/harness lines) — the checkpoint fingerprint's preimage.
 [[nodiscard]] std::string FingerprintText(const ScenarioSpec& spec);
 
-/// Throws std::invalid_argument for the first knob outside its range, with
-/// a one-line "key (flag) must be ..., got value" message.
+/// Throws std::invalid_argument for the first knob holding a non-finite
+/// number or lying outside its range, with a one-line "key (flag) must be
+/// ..., got value" message.
 /// sim::RunOptionsFromSpec calls it, so a spec file and the command line are
 /// refused by the same check.
 void RequireValidSpec(const ScenarioSpec& spec);

@@ -269,9 +269,9 @@ std::string TrialResultToJson(const TrialResult& result) {
   Field(out, "remapped", std::uint64_t{result.tasks_remapped});
   out += ',';
   Field(out, "remapped_on_time", std::uint64_t{result.remapped_on_time});
-  // Domain-fault / migration scalars: omitted when zero, so a record from a
-  // run without domain faults or migration serializes byte-identically to a
-  // pre-domain build's — the golden grid hashes this exact text.
+  // Domain-fault scalars: omitted when zero, so a record from a run without
+  // domain faults serializes byte-identically to a pre-domain build's — the
+  // golden grid hashes this exact text.
   if (result.domain_outages != 0) {
     out += ',';
     Field(out, "domain_outages", std::uint64_t{result.domain_outages});
@@ -279,14 +279,6 @@ std::string TrialResultToJson(const TrialResult& result) {
   if (result.domain_repairs != 0) {
     out += ',';
     Field(out, "domain_repairs", std::uint64_t{result.domain_repairs});
-  }
-  if (result.tasks_migrated != 0) {
-    out += ',';
-    Field(out, "migrated", std::uint64_t{result.tasks_migrated});
-  }
-  if (result.migrated_on_time != 0) {
-    out += ',';
-    Field(out, "migrated_on_time", std::uint64_t{result.migrated_on_time});
   }
   out += ',';
   Field(out, "weighted_total", result.weighted_total);
@@ -464,8 +456,6 @@ TrialResult TrialResultFromValue(const json::Value& object) {
   };
   result.domain_outages = OptionalUint(object, "domain_outages");
   result.domain_repairs = OptionalUint(object, "domain_repairs");
-  result.tasks_migrated = OptionalUint(object, "migrated");
-  result.migrated_on_time = OptionalUint(object, "migrated_on_time");
   result.weighted_total = RequireNumber(object, "weighted_total");
   result.weighted_completed = RequireNumber(object, "weighted_completed");
   result.weighted_missed = RequireNumber(object, "weighted_missed");

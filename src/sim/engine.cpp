@@ -88,7 +88,6 @@ Engine::Engine(const cluster::Cluster& cluster,
         cluster.total_cores(), options_.fault_schedule, options_.fault_domains);
     availability_.assign(cluster.total_cores(), core::CoreAvailability{});
     remapped_.assign(tasks_.size(), 0);
-    migrated_.assign(tasks_.size(), 0);
   }
 
   // Governor extension (src/governor): resolving the name validates it; the
@@ -349,7 +348,6 @@ TrialResult Engine::Run() {
           // last task finishes (OnMemberFinished), not per member task.
           if (!jobs_enabled_) result.weighted_completed += task.priority;
           if (fault_enabled_ && remapped_[task_id] != 0) ++remapped_on_time_;
-          if (fault_enabled_ && migrated_[task_id] != 0) ++migrated_on_time_;
         } else if (!on_time) {
           ++result.finished_late;
         } else {
@@ -444,8 +442,6 @@ TrialResult Engine::Run() {
   result.remapped_on_time = remapped_on_time_;
   result.domain_outages = injector_.domain_outages_applied();
   result.domain_repairs = injector_.domain_repairs_applied();
-  result.tasks_migrated = tasks_migrated_;
-  result.migrated_on_time = migrated_on_time_;
   result.missed_deadlines = result.window_size - result.completed;
   result.weighted_missed = result.weighted_total - result.weighted_completed;
   if (jobs_enabled_) {
@@ -692,7 +688,8 @@ void Engine::FailCores(std::span<const std::size_t> dead_cores, double now,
                        obs::FaultEventRecord& trace_record) {
   // Strand every task assigned to the dead cores: partially-executed
   // running tasks (their progress is wasted) separately from the queued
-  // FIFOs — the recovery policies treat the two differently.
+  // FIFOs — gang members only ever run, and recovery takes the running
+  // tasks first.
   std::vector<std::size_t> running_stranded;
   std::vector<std::size_t> queued_stranded;
   for (const std::size_t flat : dead_cores) {
@@ -711,11 +708,13 @@ void Engine::FailCores(std::span<const std::size_t> dead_cores, double now,
     SwitchPState(flat, idle_pstate_, now, 0.0);
   }
   active_tasks_ -= running_stranded.size() + queued_stranded.size();
+  const bool recover =
+      options_.recovery_policy == fault::RecoveryPolicy::kRequeueToScheduler;
 
   // Job extension: a dead member pulls back its whole in-flight gang — a
   // rigid stage's outputs only commit when the entire stage completes, so
   // surviving mates are aborted (their progress is wasted) and the gang
-  // re-enters the pending queue under requeue/migrate recovery.
+  // re-enters the pending queue under requeue recovery.
   // Already-finished members re-run with it; their job counts come back
   // here and only their first finish tallies at task level. Width-1 stage
   // members stay in running_stranded and take the per-task recovery below.
@@ -750,8 +749,6 @@ void Engine::FailCores(std::span<const std::size_t> dead_cores, double now,
       }
     }
     running_stranded = std::move(singles);
-    const bool requeue_gangs =
-        options_.recovery_policy != fault::RecoveryPolicy::kDropQueued;
     for (const HitStage& h : hit) {
       const workload::JobStage& stage = graph_.jobs[h.job].stages[h.stage];
       JobRuntime& rt = job_runtime_[h.job];
@@ -770,7 +767,7 @@ void Engine::FailCores(std::span<const std::size_t> dead_cores, double now,
           }
         }
       }
-      if (requeue_gangs && !rt.failed) {
+      if (recover && !rt.failed) {
         // Whole-gang restart: every member re-runs, so the finished
         // members' job counts come back before the gang re-queues.
         rt.tasks_remaining += stage.width - rt.stage_remaining;
@@ -788,32 +785,18 @@ void Engine::FailCores(std::span<const std::size_t> dead_cores, double now,
     }
   }
 
-  // Running tasks lost their progress and restart from scratch — under both
-  // requeue and migrate they take the requeue path (which re-enters
-  // streaming admission like a fresh arrival).
-  const bool recover =
-      options_.recovery_policy != fault::RecoveryPolicy::kDropQueued;
-  for (const std::size_t task_id : running_stranded) {
-    if (recover) {
-      RecoverViaRequeue(task_id, now, trace_record);
-    } else {
-      MarkTaskLost(task_id, now, trace_record);
-    }
-  }
-  switch (options_.recovery_policy) {
-    case fault::RecoveryPolicy::kMigrateQueued:
-      MigrateQueued(queued_stranded, now, trace_record);
-      break;
-    case fault::RecoveryPolicy::kRequeueToScheduler:
-      for (const std::size_t task_id : queued_stranded) {
+  // Under requeue the running tasks restart from scratch (their progress is
+  // lost) and the queued ones follow in FIFO order, each re-entering
+  // streaming admission like a fresh arrival; under drop all are lost.
+  for (const std::vector<std::size_t>* stranded :
+       {&running_stranded, &queued_stranded}) {
+    for (const std::size_t task_id : *stranded) {
+      if (recover) {
         RecoverViaRequeue(task_id, now, trace_record);
-      }
-      break;
-    case fault::RecoveryPolicy::kDropQueued:
-      for (const std::size_t task_id : queued_stranded) {
+      } else {
         MarkTaskLost(task_id, now, trace_record);
       }
-      break;
+    }
   }
 }
 
@@ -854,44 +837,6 @@ void Engine::RecoverViaRequeue(std::size_t task_id, double now,
     }
   } else {
     MarkTaskLost(task_id, now, trace_record);
-  }
-}
-
-void Engine::MigrateQueued(const std::vector<std::size_t>& queued, double now,
-                           obs::FaultEventRecord& trace_record) {
-  // Migration order is waiting time per joule of the task's cheapest
-  // mapping, most-owed first — the same priority the holding pen releases
-  // by, so migration and pen release agree on who deserves the surviving
-  // capacity. In streaming mode migrated tasks bypass admission: they were
-  // admitted once and lost their seat through no fault of their own (the
-  // mirror of the fault-requeue rule above, where a restarted task
-  // re-enters admission because its work starts over).
-  std::vector<std::pair<double, std::size_t>> order;
-  order.reserve(queued.size());
-  for (const std::size_t task_id : queued) {
-    const workload::Task& task = tasks_[task_id];
-    const double joules =
-        stream::CheapestExpectedEnergy(*cluster_, *types_, task.type);
-    order.emplace_back((now - task.arrival) / joules, task_id);
-  }
-  std::sort(order.begin(), order.end(),
-            [](const std::pair<double, std::size_t>& a,
-               const std::pair<double, std::size_t>& b) {
-              if (a.first != b.first) return a.first > b.first;
-              return a.second < b.second;
-            });
-  for (const auto& [wait_per_joule, task_id] : order) {
-    if (TryRemap(tasks_[task_id], now)) {
-      ++tasks_migrated_;
-      ++trace_record.tasks_migrated;
-      migrated_[task_id] = 1;
-      obs::Bump(&obs::Counters::tasks_migrated);
-      if (options_.collect_task_records) {
-        records_[task_id].migrated = true;
-      }
-    } else {
-      MarkTaskLost(task_id, now, trace_record);
-    }
   }
 }
 
@@ -1094,24 +1039,16 @@ void Engine::RefreshAvailability(std::size_t flat_core) {
 void Engine::InvokeGovernor(double now) {
   governor_now_ = now;
   for (std::size_t flat = 0; flat < runtime_.size(); ++flat) {
-    core_views_[flat] = governor::CoreView{
-        runtime_[flat].busy, runtime_[flat].current_pstate,
-        parked_[flat] != 0, models_[flat].queue_length()};
+    core_views_[flat] =
+        governor::CoreView{runtime_[flat].busy, parked_[flat] != 0};
   }
   obs::Bump(&obs::Counters::governor_invocations);
   governor::GovernorObservation observation;
   observation.now = now;
   observation.consumed = meter_.consumed();
   observation.budget = options_.energy_budget;
-  observation.burn_watts = meter_.total_power();
-  observation.estimated_remaining = scheduler_->estimator().remaining();
   observation.horizon = horizon_;
-  observation.tasks_seen = scheduler_->tasks_seen();
-  observation.window_size = tasks_.size();
-  observation.cluster = cluster_;
-  observation.queues = models_;
   observation.cores = core_views_;
-  observation.idle_pstate = idle_pstate_;
   if (econ_enabled_) {
     observation.energy_price = options_.econ.model.energy_price;
     observation.realized_revenue = profit_->revenue();

@@ -232,11 +232,6 @@ class Engine : private governor::GovernorHost {
   /// included in streaming mode); falls through to MarkTaskLost on failure.
   void RecoverViaRequeue(std::size_t task_id, double now,
                          obs::FaultEventRecord& trace_record);
-  /// RecoveryPolicy::kMigrateQueued: re-plans queued stranded tasks against
-  /// the surviving cores in waiting-time-per-joule order, bypassing
-  /// streaming admission (migrated tasks were already admitted once).
-  void MigrateQueued(const std::vector<std::size_t>& queued, double now,
-                     obs::FaultEventRecord& trace_record);
   void MarkTaskLost(std::size_t task_id, double now,
                     obs::FaultEventRecord& trace_record);
   /// Re-times the core's running task (and its finish event) after its
@@ -404,13 +399,9 @@ class Engine : private governor::GovernorHost {
   std::vector<core::CoreAvailability> availability_;
   /// Per-task "was re-mapped" flags (sized only when faults are enabled).
   std::vector<std::uint8_t> remapped_;
-  /// Per-task "was migrated off a failed core/domain while queued" flags.
-  std::vector<std::uint8_t> migrated_;
   std::size_t tasks_lost_ = 0;
   std::size_t tasks_remapped_ = 0;
   std::size_t remapped_on_time_ = 0;
-  std::size_t tasks_migrated_ = 0;
-  std::size_t migrated_on_time_ = 0;
   // -- Governor extension state (inert when governor_enabled_ is false) --
   bool governor_enabled_ = false;
   std::unique_ptr<governor::Governor> governor_;

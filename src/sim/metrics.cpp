@@ -27,10 +27,6 @@ std::ostream& operator<<(std::ostream& os, const TrialResult& result) {
       os << ", domain_outages=" << result.domain_outages
          << ", domain_repairs=" << result.domain_repairs;
     }
-    if (result.tasks_migrated > 0) {
-      os << ", migrated=" << result.tasks_migrated
-         << ", migrated_on_time=" << result.migrated_on_time;
-    }
   }
   if (result.energy_exhausted_at) {
     os << ", exhausted_at=" << *result.energy_exhausted_at;
@@ -95,9 +91,6 @@ SummaryStatistics SummarizeTrials(std::span<const TrialResult> trials) {
     summary.mean_remapped_on_time +=
         static_cast<double>(trial.remapped_on_time);
     summary.mean_domain_outages += static_cast<double>(trial.domain_outages);
-    summary.mean_migrated += static_cast<double>(trial.tasks_migrated);
-    summary.mean_migrated_on_time +=
-        static_cast<double>(trial.migrated_on_time);
     if (trial.stream.enabled) ++summary.stream_trials;
     summary.mean_stream_deferred += static_cast<double>(trial.stream.deferred);
     summary.mean_stream_dropped +=
@@ -132,8 +125,6 @@ SummaryStatistics SummarizeTrials(std::span<const TrialResult> trials) {
   summary.mean_remapped /= n;
   summary.mean_remapped_on_time /= n;
   summary.mean_domain_outages /= n;
-  summary.mean_migrated /= n;
-  summary.mean_migrated_on_time /= n;
   summary.mean_stream_deferred /= n;
   summary.mean_stream_dropped /= n;
   summary.mean_stream_released /= n;
@@ -165,10 +156,6 @@ std::ostream& operator<<(std::ostream& os, const SummaryStatistics& summary) {
        << ", mean_remapped_on_time=" << summary.mean_remapped_on_time;
     if (summary.mean_domain_outages > 0.0) {
       os << ", mean_domain_outages=" << summary.mean_domain_outages;
-    }
-    if (summary.mean_migrated > 0.0) {
-      os << ", mean_migrated=" << summary.mean_migrated
-         << ", mean_migrated_on_time=" << summary.mean_migrated_on_time;
     }
   }
   if (summary.stream_trials > 0) {

@@ -46,9 +46,6 @@ struct TaskRecord {
   /// Re-mapped to another core after its original core failed
   /// (RecoveryPolicy::kRequeueToScheduler).
   bool remapped = false;
-  /// Queued (not yet started) on a failed core and migrated in
-  /// waiting-time-per-joule order (RecoveryPolicy::kMigrateQueued).
-  bool migrated = false;
 };
 
 /// One sample of the system robustness rho(t_l) (Eq. 4) taken at a task
@@ -117,7 +114,7 @@ struct JobStats {
   /// and went back to the pending queue to wait.
   std::size_t gang_waits = 0;
   /// Gangs whose members were pulled back by a fault and re-entered the
-  /// pending queue (requeue/migrate recovery).
+  /// pending queue (requeue recovery).
   std::size_t gangs_requeued = 0;
   /// Pending gangs abandoned — deadline passed while waiting, joint
   /// feasibility unreachable, or end-of-trial drain found no placement.
@@ -192,12 +189,6 @@ struct TrialResult {
   /// returned to service.
   std::size_t domain_outages = 0;
   std::size_t domain_repairs = 0;
-  /// Queued stranded tasks re-planned in waiting-time-per-joule order by
-  /// RecoveryPolicy::kMigrateQueued (subset of tasks_remapped).
-  std::size_t tasks_migrated = 0;
-  /// Migrated tasks that still finished by their deadline (and within
-  /// budget).
-  std::size_t migrated_on_time = 0;
 
   /// Priority-weighted analogues (equal to the unweighted counts when every
   /// task has priority 1, the paper's setting).
@@ -256,8 +247,6 @@ struct SummaryStatistics {
   double mean_remapped = 0.0;
   double mean_remapped_on_time = 0.0;
   double mean_domain_outages = 0.0;
-  double mean_migrated = 0.0;
-  double mean_migrated_on_time = 0.0;
   // -- Streaming extension (all zero in fixed-trace runs) --
   /// Trials that ran in streaming mode (0 or == trials in practice).
   std::size_t stream_trials = 0;

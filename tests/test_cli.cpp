@@ -10,6 +10,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "policy/scenario_spec.hpp"
 
@@ -40,14 +41,35 @@ std::string TempPath(const std::string& name) {
   return testing::TempDir() + "ecdra_cli_" + name + ".jsonl";
 }
 
-TEST(Cli, UnknownHeuristicListsValidChoices) {
-  const CliResult result = RunCli("--heuristic BOGUS");
-  EXPECT_EQ(result.exit_code, 2);
-  EXPECT_NE(result.output.find("unknown heuristic 'BOGUS'"),
-            std::string::npos)
-      << result.output;
-  EXPECT_NE(result.output.find("SQ"), std::string::npos);
-  EXPECT_NE(result.output.find("Random"), std::string::npos);
+TEST(Cli, UnknownPolicyNamesListValidChoices) {
+  // Deleted policies (race-to-idle, deadline-aware, migrate) fail like any
+  // other unknown name, from a flag or from a spec file.
+  const std::string spec_path = TempPath("unknown_policy");
+  const std::string write = std::string(ECDRA_CLI_PATH) + " --print-spec > " +
+                            spec_path +
+                            " && echo 'run.recovery = migrate' >> " +
+                            spec_path;
+  ASSERT_EQ(std::system(write.c_str()), 0) << write;
+  const struct {
+    std::string args;
+    std::vector<std::string> expected;
+  } cases[] = {
+      {"--heuristic BOGUS", {"unknown heuristic 'BOGUS'", "SQ", "Random"}},
+      {"--governor race-to-idle", {"budget-feedback, profit-guard, static"}},
+      {"--governor deadline-aware", {"budget-feedback, profit-guard, static"}},
+      {"--recovery migrate", {"(valid: drop, requeue)"}},
+      {"--spec " + spec_path, {"(valid: drop, requeue)"}},
+  };
+  for (const auto& input : cases) {
+    SCOPED_TRACE(input.args);
+    const CliResult result = RunCli(input.args + " --trials 1");
+    EXPECT_EQ(result.exit_code, 2);
+    for (const std::string& fragment : input.expected) {
+      EXPECT_NE(result.output.find(fragment), std::string::npos)
+          << result.output;
+    }
+  }
+  std::remove(spec_path.c_str());
 }
 
 TEST(Cli, UnknownVariantListsValidChoices) {
@@ -113,6 +135,12 @@ TEST(Cli, SpecFileAndFlagsRefuseTheSameOutOfRangeValues) {
       {"--throttle-floor 9", "run.fault.throttle_floor = 9"},
       {"--degraded-rho-scale 0.5", "stream.degraded_rho_scale = 0.5"},
       {"--trials 0", "harness.trials = 0"},
+      // Non-finite numbers have no spec spelling, so both inputs refuse
+      // them; inf passes every ">= 0" range check on its own.
+      {"--fault-mtbf inf", "run.fault.mtbf = inf"},
+      {"--energy-price -inf", "run.econ.energy_price = -inf"},
+      {"--econ-values 1,inf", "env.econ.values = 1,inf"},
+      {"--rho-thresh nan", "run.filter.rho_thresh = nan"},
   };
   for (const auto& knob : knobs) {
     SCOPED_TRACE(knob.spec_line);
@@ -130,6 +158,12 @@ TEST(Cli, SpecFileAndFlagsRefuseTheSameOutOfRangeValues) {
     EXPECT_EQ(from_flag.exit_code, 2);
     EXPECT_EQ(from_spec.exit_code, 2);
     EXPECT_NE(from_flag.output.find("must "), std::string::npos)
+        << from_flag.output;
+    // The diagnostic echoes the value as given.
+    const std::string value =
+        std::string(knob.flag).substr(std::string(knob.flag).find(' ') + 1);
+    EXPECT_NE(from_flag.output.find(", got " + value + "\n"),
+              std::string::npos)
         << from_flag.output;
     EXPECT_EQ(from_flag.output, from_spec.output);
     // One line: the only newline is the terminating one.

@@ -330,24 +330,21 @@ TEST(RecoveryPolicy, NamesRoundTrip) {
   EXPECT_EQ(
       fault::RecoveryPolicyName(fault::RecoveryPolicy::kRequeueToScheduler),
       "requeue");
-  EXPECT_EQ(fault::RecoveryPolicyName(fault::RecoveryPolicy::kMigrateQueued),
-            "migrate");
   EXPECT_EQ(fault::ParseRecoveryPolicy("drop"),
             fault::RecoveryPolicy::kDropQueued);
   EXPECT_EQ(fault::ParseRecoveryPolicy("requeue"),
             fault::RecoveryPolicy::kRequeueToScheduler);
-  EXPECT_EQ(fault::ParseRecoveryPolicy("migrate"),
-            fault::RecoveryPolicy::kMigrateQueued);
-  EXPECT_THROW((void)fault::ParseRecoveryPolicy("retry"),
-               std::invalid_argument);
   // The error message and --list-policies share one source of truth.
-  EXPECT_EQ(fault::RecoveryPolicyNames(), "drop, requeue, migrate");
-  try {
-    (void)fault::ParseRecoveryPolicy("retry");
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& error) {
-    EXPECT_NE(std::string(error.what()).find("migrate"), std::string::npos)
-        << error.what();
+  EXPECT_EQ(fault::RecoveryPolicyNames(), "drop, requeue");
+  for (const char* unknown : {"retry", "migrate"}) {
+    try {
+      (void)fault::ParseRecoveryPolicy(unknown);
+      FAIL() << "expected std::invalid_argument for " << unknown;
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("drop, requeue"),
+                std::string::npos)
+          << error.what();
+    }
   }
 }
 
@@ -539,48 +536,6 @@ TEST_F(FaultEngineTest, TaskStartedUnderThrottleRunsAtTheFloor) {
   // SQ breaks queue-length ties by eet: the fastest allowed state is P2.
   EXPECT_EQ(result.task_records[0].pstate, 2u);
   EXPECT_DOUBLE_EQ(result.makespan, 2.0 + 10.0 * m2);
-}
-
-TEST_F(FaultEngineTest, MigratePolicyRestartsRunningAndMigratesQueued) {
-  // Two single-core nodes (one fault domain each). SQ puts t0 on core 0,
-  // t1 on (idle) core 1, t2 behind t0 on core 0. Core 0 dies at 5: the
-  // *running* t0 restarts from scratch through the requeue path (remapped),
-  // while the *queued* t2 migrates with its queue wait intact (migrated).
-  const cluster::Cluster cluster(
-      {test::SimpleNode(1, 1), test::SimpleNode(1, 1)});
-  sim::TrialOptions options;
-  options.fault_domains = fault::DeriveNodeDomains(cluster);
-  const sim::TrialResult result = Run(
-      cluster,
-      {workload::Task{0, 0, 0.0, 100.0}, workload::Task{1, 0, 1.0, 100.0},
-       workload::Task{2, 0, 2.0, 100.0}},
-      Schedule({{5.0, fault::FaultEventKind::kCoreFailure, 0, 0}}),
-      fault::RecoveryPolicy::kMigrateQueued, options);
-
-  EXPECT_EQ(result.completed, 3u);
-  EXPECT_EQ(result.tasks_lost_to_failures, 0u);
-  EXPECT_EQ(result.tasks_remapped, 1u);
-  EXPECT_EQ(result.tasks_migrated, 1u);
-  EXPECT_EQ(result.migrated_on_time, 1u);
-  EXPECT_TRUE(result.task_records[0].remapped);
-  EXPECT_FALSE(result.task_records[0].migrated);
-  EXPECT_TRUE(result.task_records[2].migrated);
-  EXPECT_FALSE(result.task_records[2].remapped);
-  // Core 1: t1 [1, 11), restarted t0 [11, 21), migrated t2 [21, 31).
-  EXPECT_DOUBLE_EQ(result.task_records[0].start_time, 11.0);
-  EXPECT_DOUBLE_EQ(result.task_records[2].start_time, 21.0);
-  EXPECT_DOUBLE_EQ(result.makespan, 31.0);
-}
-
-TEST_F(FaultEngineTest, MigrateWithNoSurvivorLosesTheQueuedTasks) {
-  const sim::TrialResult result = Run(
-      test::SingleCoreCluster(),
-      {workload::Task{0, 0, 0.0, 100.0}, workload::Task{1, 0, 1.0, 100.0}},
-      Schedule({{5.0, fault::FaultEventKind::kCoreFailure, 0, 0}}),
-      fault::RecoveryPolicy::kMigrateQueued);
-  EXPECT_EQ(result.completed, 0u);
-  EXPECT_EQ(result.tasks_lost_to_failures, 2u);
-  EXPECT_EQ(result.tasks_migrated, 0u);
 }
 
 TEST_F(FaultEngineTest, DomainOutageStrandsEveryCoreOfTheDomain) {

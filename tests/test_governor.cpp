@@ -50,7 +50,7 @@ sim::TrialResult RunWithGovernor(const std::string& governor,
 TEST(GovernorRegistry, BuiltInsAreRegistered) {
   const std::vector<std::string> names = governor::GovernorNames();
   for (const std::string expected :
-       {"static", "race-to-idle", "budget-feedback", "deadline-aware"}) {
+       {"static", "budget-feedback", "profit-guard"}) {
     EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
         << "missing built-in governor " << expected;
   }
@@ -95,31 +95,6 @@ TEST(Governor, StaticIsBitIdenticalToTheDefaultTrial) {
             sim::TrialResultToJson(explicit_static));
 }
 
-TEST(Governor, RaceToIdleParksIdleCoresAndChangesEnergy) {
-  const sim::TrialResult base = RunWithGovernor("static");
-  const sim::TrialResult raced = RunWithGovernor("race-to-idle");
-  EXPECT_GT(raced.counters.governor_invocations, 0u);
-  EXPECT_GT(raced.counters.governor_cores_parked, 0u);
-  EXPECT_EQ(raced.counters.governor_pstate_caps, 0u);
-  // Parking goes through the ordinary SwitchPState path, so the nu lists
-  // record more transitions and idle draw disappears from Eq. 1/2.
-  EXPECT_GT(raced.counters.pstate_switches, base.counters.pstate_switches);
-  EXPECT_LT(raced.total_energy, base.total_energy);
-}
-
-TEST(Governor, RaceToIdleDegradesToNoOpUnderPowerGatedIdle) {
-  // Under IdlePolicy::kPowerGated an idle core already draws nothing, so
-  // ParkIdleCore refuses every request and the counter stays zero.
-  sim::RunOptions options;
-  options.collect_counters = true;
-  options.governor = "race-to-idle";
-  options.idle_policy = sim::IdlePolicy::kPowerGated;
-  const sim::TrialResult result =
-      sim::RunSingleTrial(SmallSetup(), "LL", "en+rob", 0, options);
-  EXPECT_GT(result.counters.governor_invocations, 0u);
-  EXPECT_EQ(result.counters.governor_cores_parked, 0u);
-}
-
 TEST(Governor, BudgetFeedbackActsAndTracesItsActions) {
   std::ostringstream trace_text;
   obs::JsonlTraceSink sink(trace_text);
@@ -161,21 +136,13 @@ TEST(Governor, BudgetFeedbackActsAndTracesItsActions) {
   EXPECT_EQ(allowances, result.counters.governor_allowance_changes);
 }
 
-TEST(Governor, DeadlineAwareCapsOnlyWhenSlackTolerates) {
-  const sim::TrialResult result = RunWithGovernor("deadline-aware");
-  EXPECT_GT(result.counters.governor_invocations, 0u);
-  // The slack-gated controller caps P-states but never parks or touches
-  // the fair share.
-  EXPECT_EQ(result.counters.governor_cores_parked, 0u);
-  EXPECT_EQ(result.counters.governor_allowance_changes, 0u);
-}
-
 // -- Custom governors through the public registration macro --
 
 /// Ticks every 50 time units and records what the host reports back.
 class ProbeGovernor final : public governor::Governor {
  public:
   static inline std::uint64_t invocations = 0;
+  static inline std::uint64_t park_requests = 0;
   static inline std::uint64_t park_accepted = 0;
   static inline std::uint64_t park_refused = 0;
   static inline bool observation_ok = true;
@@ -188,17 +155,18 @@ class ProbeGovernor final : public governor::Governor {
   void Govern(const governor::GovernorObservation& observation,
               governor::GovernorHost& host) override {
     ++invocations;
-    observation_ok = observation_ok && observation.budget > 0.0 &&
-                     observation.consumed >= 0.0 &&
-                     observation.cluster != nullptr &&
-                     observation.cores.size() == observation.queues.size() &&
-                     !observation.cores.empty();
+    observation_ok =
+        observation_ok && observation.budget > 0.0 &&
+        observation.consumed >= 0.0 && observation.horizon > 0.0 &&
+        observation.energy_price == 0.0 &&
+        observation.cores.size() == SmallSetup().cluster.total_cores();
     // Park every idle core twice: the second request must be refused (the
     // core is already parked), exercising the host's no-op dedup.
     for (std::size_t flat = 0; flat < observation.cores.size(); ++flat) {
       if (observation.cores[flat].busy || observation.cores[flat].parked) {
         continue;
       }
+      ++park_requests;
       if (host.ParkIdleCore(flat)) {
         ++park_accepted;
         host.ParkIdleCore(flat) ? ++park_accepted : ++park_refused;
@@ -211,6 +179,7 @@ class ProbeGovernor final : public governor::Governor {
 
   static void Reset() {
     invocations = 0;
+    park_requests = 0;
     park_accepted = 0;
     park_refused = 0;
     observation_ok = true;
@@ -239,6 +208,33 @@ TEST(Governor, HostRefusesDoublePark) {
   EXPECT_EQ(ProbeGovernor::park_refused, ProbeGovernor::park_accepted);
   EXPECT_EQ(result.counters.governor_cores_parked,
             ProbeGovernor::park_accepted);
+}
+
+TEST(Governor, ParkingGoesThroughThePStatePathAndCutsIdleDraw) {
+  const sim::TrialResult base = RunWithGovernor("static");
+  ProbeGovernor::Reset();
+  const sim::TrialResult parked = RunWithGovernor("test-probe");
+  EXPECT_GT(parked.counters.governor_cores_parked, 0u);
+  // Parking goes through the ordinary SwitchPState path, so the nu lists
+  // record more transitions and idle draw disappears from Eq. 1/2.
+  EXPECT_GT(parked.counters.pstate_switches, base.counters.pstate_switches);
+  EXPECT_LT(parked.total_energy, base.total_energy);
+}
+
+TEST(Governor, HostRefusesParksUnderPowerGatedIdle) {
+  // Under IdlePolicy::kPowerGated an idle core already draws nothing, so
+  // ParkIdleCore refuses every request and the counter stays zero.
+  ProbeGovernor::Reset();
+  sim::RunOptions options;
+  options.collect_counters = true;
+  options.governor = "test-probe";
+  options.idle_policy = sim::IdlePolicy::kPowerGated;
+  const sim::TrialResult result =
+      sim::RunSingleTrial(SmallSetup(), "LL", "en+rob", 0, options);
+  EXPECT_GT(result.counters.governor_invocations, 0u);
+  EXPECT_GT(ProbeGovernor::park_requests, 0u);
+  EXPECT_EQ(ProbeGovernor::park_accepted, 0u);
+  EXPECT_EQ(result.counters.governor_cores_parked, 0u);
 }
 
 TEST(Governor, UnchangedActionsAreNotCounted) {
@@ -298,10 +294,10 @@ TEST(Governor, EngineRejectsUnknownGovernorName) {
 
 TEST(Governor, GovernorFieldReachesTheCheckpointFingerprint) {
   sim::RunOptions base;
-  sim::RunOptions raced = base;
-  raced.governor = "race-to-idle";
+  sim::RunOptions governed = base;
+  governed.governor = "budget-feedback";
   EXPECT_NE(sim::ConfigFingerprint(SmallSetup(), base),
-            sim::ConfigFingerprint(SmallSetup(), raced));
+            sim::ConfigFingerprint(SmallSetup(), governed));
 }
 
 }  // namespace

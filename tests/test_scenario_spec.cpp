@@ -85,7 +85,7 @@ policy::ScenarioSpec FullyCustomSpec() {
   spec.fault.domain_repair_time = 600.0;
   spec.fault.cascade_throttle = true;
   spec.fault_domains = "rackA:0-2,rackB:3-4";
-  spec.recovery = fault::RecoveryPolicy::kMigrateQueued;
+  spec.recovery = fault::RecoveryPolicy::kRequeueToScheduler;
   spec.jobs_placement = "serial";
   spec.governor = "budget-feedback";
   spec.mode = policy::RunMode::kStream;
@@ -214,7 +214,7 @@ TEST(ScenarioSpec, FingerprintCoversResultShapingKnobsOnly) {
   changed.fault_domains = "all:0-15";
   EXPECT_NE(fingerprint, policy::SpecFingerprint(changed));
   changed = base;
-  changed.governor = "race-to-idle";
+  changed.governor = "budget-feedback";
   EXPECT_NE(fingerprint, policy::SpecFingerprint(changed));
   // The v5 job block shapes results too: gangs change placement and
   // per-job accounting, so every knob must perturb the hash.
@@ -384,7 +384,7 @@ TEST(ScenarioSpec, EveryKnobRowAppearsOnceAndFullyCustomMovesIt) {
     // A knob the fixture leaves at its default would let a dropped field
     // pass the round-trip and copy tests unnoticed.
     EXPECT_NE(knob.get(FullyCustomSpec()), knob.get(defaults));
-    EXPECT_TRUE(knob.in_bounds(FullyCustomSpec()));
+    EXPECT_EQ(knob.violation(FullyCustomSpec()), "");
   }
   // One line per row plus the header: no key is emitted outside the table.
   EXPECT_EQ(static_cast<std::size_t>(std::count(text.begin(), text.end(),
