@@ -18,9 +18,11 @@
 // binds). As the rate tightens, "static + none" spends its opening balance
 // greedily and camps in emergency mode; "budget-feedback" paces the burn
 // against the accrual line and "rho" admission sheds near-certain misses
-// before they burn joules. Acceptance gate (exit 1 on regression): at the
+// before they burn joules. Acceptance gates (exit 1 on regression): at the
 // tightest rate, budget-feedback + rho must complete strictly more tasks
-// on time per window than static + none.
+// on time per window than static + none; and in saturation (arrivals x8 at
+// the sustaining rate) rho must complete at least as many tasks on time as
+// none under each governor.
 //
 // Usage: ./ablation_energy_rate [num_trials | --smoke] [--json PATH]
 //        (default 10 trials; --smoke = 2 trials, the CI configuration;
@@ -131,6 +133,39 @@ int main(int argc, char** argv) {
   }
   table.PrintText(std::cout);
 
+  // Saturation (see the header): every arrival rate x8, sustaining rate.
+  sim::SetupOptions saturated_options = experiment::PaperSetupOptions();
+  for (workload::ArrivalPhase& phase :
+       saturated_options.workload.arrivals.phases) {
+    phase.rate *= 8.0;
+  }
+  const sim::ExperimentSetup saturated = sim::BuildExperimentSetup(
+      experiment::kPaperMasterSeed, saturated_options);
+  std::cout << "\nsaturation cell: arrivals x8, rate x1.00\n";
+  stats::Table saturated_table(
+      {"governor", "admission", "mean missed", "mean on-time", "dropped"});
+  bool rho_holds = true;
+  for (const std::string& governor : governors) {
+    double on_time[2] = {};  // none, rho
+    for (const int i : {0, 1}) {
+      sim::RunOptions run;
+      run.num_trials = num_trials;
+      run.governor = governor;
+      run.mode = policy::RunMode::kStream;
+      run.stream.energy_rate = sustaining_rate;
+      run.stream.admission = admissions[i];
+      const sim::SummaryStatistics summary = sim::SummarizeTrials(
+          sim::RunTrials(saturated, "LL", "en+rob", run));
+      saturated_table.AddRow(
+          {governor, admissions[i], stats::Table::Num(summary.mean_missed, 1),
+           stats::Table::Num(summary.mean_completed, 1),
+           stats::Table::Num(summary.mean_stream_dropped, 1)});
+      on_time[i] = summary.mean_completed;
+    }
+    rho_holds = rho_holds && on_time[1] >= on_time[0];
+  }
+  saturated_table.PrintText(std::cout);
+
   if (!json_path.empty()) {
     std::string out =
         "{\"schema\":\"ecdra-bench v1\",\"suite\":\"ablation_energy_rate\","
@@ -176,5 +211,12 @@ int main(int argc, char** argv) {
   }
   std::cout << "OK: budget feedback plus admission strictly beats the "
                "open-loop baseline under the tightest rate.\n";
+  if (!rho_holds) {
+    std::cout << "FAIL: in saturation rho admission completes fewer tasks on "
+                 "time than none under some governor.\n";
+    return 1;
+  }
+  std::cout << "OK: in saturation rho admission completes at least as many "
+               "tasks on time as none under every governor.\n";
   return 0;
 }

@@ -17,10 +17,12 @@
 // loss (the account pays for far more energy than the few on-time finishes
 // earn back), so the profit line measures who loses least. econ-greedy
 // narrows the loss by buying rho where it pays, and value-density admission
-// sheds never-profitable work before it burns anything. Acceptance gate
+// sheds never-profitable work before it burns anything. Acceptance gates
 // (exit 1 on regression): under the skewed model at this tightest budget,
 // econ-greedy + value-density must achieve a mean net profit >= every paper
-// heuristic's best cell.
+// heuristic's best cell; and in saturation (arrivals x8 at the sustaining
+// rate, energy priced at 2e-05 /J) econ-greedy + value-density must net at
+// least as much as econ-greedy + none.
 //
 // Usage: ./ablation_profit [num_trials | --smoke] [--json PATH]
 //        (default 10 trials; --smoke = 2 trials, the CI configuration;
@@ -200,6 +202,40 @@ int main(int argc, char** argv) {
     std::cout << "\nbench report written to " << json_path << "\n";
   }
 
+  // Saturation (see the header): every arrival rate x8, sustaining rate.
+  sim::SetupOptions saturated_options = experiment::PaperSetupOptions();
+  for (workload::ArrivalPhase& phase :
+       saturated_options.workload.arrivals.phases) {
+    phase.rate *= 8.0;
+  }
+  const sim::ExperimentSetup saturated = sim::BuildExperimentSetup(
+      experiment::kPaperMasterSeed, saturated_options);
+  std::cout << "\nsaturation cell: arrivals x8, rate x1.00, econ-greedy, "
+               "unit values, price 0.00002 /J, value decay 2250 s\n";
+  stats::Table saturated_table(
+      {"admission", "net profit", "revenue", "energy cost", "on-time"});
+  double saturated_net[2] = {};  // none, value-density
+  for (const int i : {0, 1}) {
+    sim::RunOptions run;
+    run.num_trials = num_trials;
+    run.mode = policy::RunMode::kStream;
+    run.stream.energy_rate = sustaining_rate;
+    run.stream.admission = admissions[i];
+    run.econ_enabled = true;
+    run.econ.type_values = {1.0};
+    run.econ.energy_price = 2e-05;
+    run.econ.value_decay = 2250.0;
+    const sim::SummaryStatistics summary = sim::SummarizeTrials(
+        sim::RunTrials(saturated, "econ-greedy", "en+rob", run));
+    saturated_table.AddRow({admissions[i],
+                            stats::Table::Num(summary.mean_net_profit, 1),
+                            stats::Table::Num(summary.mean_revenue, 1),
+                            stats::Table::Num(summary.mean_energy_cost, 1),
+                            stats::Table::Num(summary.mean_completed, 1)});
+    saturated_net[i] = summary.mean_net_profit;
+  }
+  saturated_table.PrintText(std::cout);
+
   std::cout << "\nacceptance: econ-greedy + value-density mean net profit "
             << "(skewed model) = " << stats::Table::Num(econ_greedy_net, 1)
             << ", best paper heuristic = "
@@ -212,5 +248,16 @@ int main(int argc, char** argv) {
   }
   std::cout << "OK: econ-greedy with value-density admission earns at least "
                "as much as every paper heuristic at the tightest budget.\n";
+  std::cout << "acceptance: in saturation econ-greedy + value-density mean "
+            << "net profit = " << stats::Table::Num(saturated_net[1], 1)
+            << ", econ-greedy + none = "
+            << stats::Table::Num(saturated_net[0], 1) << "\n";
+  if (saturated_net[1] < saturated_net[0]) {
+    std::cout << "FAIL: value-density admission nets less than "
+                 "admit-everything in saturation.\n";
+    return 1;
+  }
+  std::cout << "OK: value-density admission nets at least as much as "
+               "admit-everything in saturation.\n";
   return 0;
 }

@@ -50,18 +50,16 @@
 
 namespace {
 
-/// {is `value` registered, the registered names} for a registry-named
-/// flag; nullopt for any other. The CLI checks these names at flag time, a
-/// spec file's at trial setup.
-std::optional<std::pair<bool, std::string>> LookUpRegistry(
-    std::string_view flag, const std::string& value) {
+/// The registered names for a registry-named flag, listed by --help;
+/// nullopt for any other. RunOptionsFromSpec refuses an unregistered name,
+/// from a flag or a spec file alike.
+std::optional<std::string> LookUpRegistry(std::string_view flag) {
   using namespace ecdra;
-  const auto look_up = [&](const auto& registry) {
-    return std::pair{registry.Contains(value), registry.JoinedNames()};
-  };
-  if (flag == "--governor") return look_up(governor::GovernorRegistry());
-  if (flag == "--admission") return look_up(stream::AdmissionRegistry());
-  if (flag == "--gang-policy") return look_up(core::GangPlacementRegistry());
+  if (flag == "--governor") return governor::GovernorRegistry().JoinedNames();
+  if (flag == "--admission") return stream::AdmissionRegistry().JoinedNames();
+  if (flag == "--gang-policy") {
+    return core::GangPlacementRegistry().JoinedNames();
+  }
   return std::nullopt;
 }
 
@@ -88,8 +86,8 @@ void PrintKnob(std::ostream& os, const ecdra::policy::Knob& knob,
     help.remove_prefix(newline == std::string_view::npos ? help.size()
                                                          : newline + 1);
   }
-  if (const auto registered = LookUpRegistry(knob.flag, "")) {
-    os << indent << "(registered: " << registered->second << ")\n";
+  if (const auto registered = LookUpRegistry(knob.flag)) {
+    os << indent << "(registered: " << *registered << ")\n";
   }
 }
 
@@ -277,7 +275,8 @@ int main(int argc, char** argv) {
                                                    &policy::Knob::flag);
                knob != knobs.end()) {
       // Every other flag sets one spec key through its knob-table row;
-      // ranges are checked once all flags are in (RunOptionsFromSpec).
+      // ranges and policy names are checked once all flags are in
+      // (RunOptionsFromSpec).
       const std::string value = knob->switch_value.empty()
                                     ? next()
                                     : std::string(knob->switch_value);
@@ -287,11 +286,6 @@ int main(int argc, char** argv) {
         Fail(flag + " '" + value + "': " + error.what());
       }
       if (knob->on_switch != nullptr) knob->on_switch(spec);
-      if (const auto registered = LookUpRegistry(flag, value);
-          registered && !registered->first) {
-        Fail(flag + " '" + value + "': not registered (registered: " +
-             registered->second + ")");
-      }
     } else {
       std::cerr << "run_experiment_cli: unknown flag '" << args[i] << "'\n";
       PrintUsage(std::cerr, argv[0]);

@@ -1,14 +1,15 @@
 #include "sim/checkpoint.hpp"
 
 #include <charconv>
-#include <cinttypes>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <mutex>
 #include <sstream>
 #include <system_error>
+#include <type_traits>
 #include <utility>
+#include <variant>
 
 #include "obs/json.hpp"
 #include "policy/scenario_spec.hpp"
@@ -46,28 +47,22 @@ namespace {
 // Serialization helpers
 // ---------------------------------------------------------------------------
 
-void Field(std::string& out, std::string_view key, std::uint64_t value) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, value);
+std::string Text(std::uint64_t value) { return std::to_string(value); }
+std::string Text(double value) { return json::Number(value); }
+/// A number, or null when absent (energy_exhausted_at).
+std::string Text(const std::optional<double>& value) {
+  return value ? json::Number(*value) : "null";
+}
+std::string Text(std::string_view value) {
+  return '"' + json::Escape(value) + '"';
+}
+
+/// Appends "key":value.
+void Field(std::string& out, std::string_view key, const auto& value) {
   out += '"';
   out += key;
   out += "\":";
-  out += buf;
-}
-
-void Field(std::string& out, std::string_view key, double value) {
-  out += '"';
-  out += key;
-  out += "\":";
-  out += json::Number(value);
-}
-
-void Field(std::string& out, std::string_view key, std::string_view value) {
-  out += '"';
-  out += key;
-  out += "\":\"";
-  out += json::Escape(value);
-  out += '"';
+  out += Text(value);
 }
 
 // ---------------------------------------------------------------------------
@@ -150,6 +145,17 @@ std::uint64_t RequireUint(const json::Value& object, std::string_view key) {
   return value;
 }
 
+std::optional<double> RequireNumberOrNull(const json::Value& object,
+                                          std::string_view key) {
+  const json::Value& value = Require(object, key);
+  if (value.is_null()) return std::nullopt;
+  if (value.kind() != json::Value::Kind::kNumber) {
+    BadRecord("field \"" + std::string(key) +
+              "\" is neither a number nor null");
+  }
+  return value.AsNumber();
+}
+
 const std::string& RequireString(const json::Value& object,
                                  std::string_view key) {
   const json::Value& value = Require(object, key);
@@ -179,9 +185,7 @@ std::string HeaderToJson(const CheckpointHeader& header) {
   out += ',';
   Field(out, "schema", std::uint64_t{header.schema_version});
   out += ',';
-  char seed[32];
-  std::snprintf(seed, sizeof(seed), "%" PRIu64, header.master_seed);
-  Field(out, "seed", std::string_view(seed));
+  Field(out, "seed", std::to_string(header.master_seed));
   out += ',';
   Field(out, "config", header.config_hash);
   out += '}';
@@ -197,18 +201,63 @@ CheckpointHeader HeaderFromJson(const json::Value& object) {
   return header;
 }
 
+/// Refuses a store of any schema other than `expected`. Load runs this
+/// before the CRC check: an older build's lines may carry no crc at all,
+/// and salvage must not mistake "written by an older build" for torn-write
+/// damage and destroy a healthy store.
+void RequireSchema(std::uint32_t found, std::uint32_t expected,
+                   const std::string& context) {
+  if (found != expected) {
+    throw CheckpointError(CheckpointErrorKind::kSchemaVersion,
+                          context + ": written with schema version " +
+                              std::to_string(found) + ", this build reads " +
+                              std::to_string(expected));
+  }
+}
+
+/// Appends one block's rows of the result field table as "key":value pairs.
+void AppendRows(std::string& out, const TrialResult& result,
+                ResultBlock block) {
+  bool first = true;
+  for (const ResultField& field : ResultFields()) {
+    if (field.block != block) continue;
+    const ResultValue value = field.get(result);
+    if (field.omit_when_zero && value == ResultValue{std::size_t{0}}) {
+      continue;
+    }
+    if (!first) out += ',';
+    first = false;
+    std::visit([&](const auto& v) { Field(out, field.key, v); }, value);
+  }
+}
+
+/// Reads one block's rows; every row is required except an omitted zero.
+void ReadRows(const json::Value& object, TrialResult& result,
+              ResultBlock block) {
+  for (const ResultField& field : ResultFields()) {
+    if (field.block != block) continue;
+    if (field.omit_when_zero && object.Find(field.key) == nullptr) continue;
+    // The alternative the row holds says which codec reads its key.
+    std::visit(
+        [&]<typename T>(const T&) {
+          if constexpr (std::is_same_v<T, std::size_t>) {
+            field.set(result, T{RequireUint(object, field.key)});
+          } else if constexpr (std::is_same_v<T, double>) {
+            field.set(result, RequireNumber(object, field.key));
+          } else {
+            field.set(result, RequireNumberOrNull(object, field.key));
+          }
+        },
+        field.get(result));
+  }
+}
+
 }  // namespace
 
 void VerifyCheckpointHeader(const CheckpointHeader& found,
                             const CheckpointHeader& expected,
                             const std::string& context) {
-  if (found.schema_version != expected.schema_version) {
-    throw CheckpointError(
-        CheckpointErrorKind::kSchemaVersion,
-        context + ": written with schema version " +
-            std::to_string(found.schema_version) + ", this build reads " +
-            std::to_string(expected.schema_version));
-  }
+  RequireSchema(found.schema_version, expected.schema_version, context);
   if (found.master_seed != expected.master_seed ||
       found.config_hash != expected.config_hash) {
     std::ostringstream os;
@@ -243,138 +292,17 @@ std::string TrialResultToJson(const TrialResult& result) {
         "per-task records / robustness traces cannot be checkpointed; "
         "disable collect_task_records and collect_robustness_trace");
   }
+  // The field table's rows, block by block; an extension block is written
+  // only when enabled, so records of runs without it stay byte-identical to
+  // builds that predate it.
   std::string out = "{";
-  Field(out, "window", std::uint64_t{result.window_size});
-  out += ',';
-  Field(out, "completed", std::uint64_t{result.completed});
-  out += ',';
-  Field(out, "missed", std::uint64_t{result.missed_deadlines});
-  out += ',';
-  Field(out, "discarded", std::uint64_t{result.discarded});
-  out += ',';
-  Field(out, "late", std::uint64_t{result.finished_late});
-  out += ',';
-  Field(out, "over_budget", std::uint64_t{result.on_time_but_over_budget});
-  out += ',';
-  Field(out, "cancelled", std::uint64_t{result.cancelled});
-  out += ',';
-  Field(out, "failures", std::uint64_t{result.failures_injected});
-  out += ',';
-  Field(out, "repairs", std::uint64_t{result.repairs_applied});
-  out += ',';
-  Field(out, "throttles", std::uint64_t{result.throttles_injected});
-  out += ',';
-  Field(out, "lost", std::uint64_t{result.tasks_lost_to_failures});
-  out += ',';
-  Field(out, "remapped", std::uint64_t{result.tasks_remapped});
-  out += ',';
-  Field(out, "remapped_on_time", std::uint64_t{result.remapped_on_time});
-  // Domain-fault scalars: omitted when zero, so a record from a run without
-  // domain faults serializes byte-identically to a pre-domain build's — the
-  // golden grid hashes this exact text.
-  if (result.domain_outages != 0) {
-    out += ',';
-    Field(out, "domain_outages", std::uint64_t{result.domain_outages});
-  }
-  if (result.domain_repairs != 0) {
-    out += ',';
-    Field(out, "domain_repairs", std::uint64_t{result.domain_repairs});
-  }
-  out += ',';
-  Field(out, "weighted_total", result.weighted_total);
-  out += ',';
-  Field(out, "weighted_completed", result.weighted_completed);
-  out += ',';
-  Field(out, "weighted_missed", result.weighted_missed);
-  out += ',';
-  Field(out, "energy", result.total_energy);
-  out += ',';
-  out += "\"exhausted_at\":";
-  out += result.energy_exhausted_at ? json::Number(*result.energy_exhausted_at)
-                                    : "null";
-  out += ',';
-  Field(out, "energy_remaining", result.estimated_energy_remaining);
-  out += ',';
-  Field(out, "makespan", result.makespan);
-
-  // Streaming aggregates (omitted entirely for fixed-trace trials).
-  if (result.stream.enabled) {
-    out += ",\"stream\":{";
-    Field(out, "windows", std::uint64_t{result.stream.windows});
-    out += ',';
-    Field(out, "deferred", std::uint64_t{result.stream.deferred});
-    out += ',';
-    Field(out, "admission_dropped",
-          std::uint64_t{result.stream.admission_dropped});
-    out += ',';
-    Field(out, "released", std::uint64_t{result.stream.released});
-    out += ',';
-    Field(out, "forced", std::uint64_t{result.stream.forced_admissions});
-    out += ',';
-    Field(out, "pen_peak", std::uint64_t{result.stream.pen_peak});
-    out += ',';
-    Field(out, "emergency_entries",
-          std::uint64_t{result.stream.emergency_entries});
-    out += ',';
-    Field(out, "emergency_seconds", result.stream.emergency_seconds);
-    out += ',';
-    Field(out, "degraded_entries",
-          std::uint64_t{result.stream.degraded_entries});
-    out += ',';
-    Field(out, "degraded_seconds", result.stream.degraded_seconds);
-    out += ',';
-    Field(out, "min_available", result.stream.min_available);
-    out += ',';
-    Field(out, "final_available", result.stream.final_available);
-    out += '}';
-  }
-
-  // Job aggregates (omitted entirely for task-level trials, so pre-jobs
-  // records and degenerate-jobs runs serialize byte-identically).
-  if (result.jobs.enabled) {
-    out += ",\"jobs\":{";
-    Field(out, "jobs", std::uint64_t{result.jobs.jobs});
-    out += ',';
-    Field(out, "on_time", std::uint64_t{result.jobs.jobs_on_time});
-    out += ',';
-    Field(out, "late", std::uint64_t{result.jobs.jobs_late});
-    out += ',';
-    Field(out, "failed", std::uint64_t{result.jobs.jobs_failed});
-    out += ',';
-    Field(out, "gangs_placed", std::uint64_t{result.jobs.gangs_placed});
-    out += ',';
-    Field(out, "gang_waits", std::uint64_t{result.jobs.gang_waits});
-    out += ',';
-    Field(out, "gangs_requeued", std::uint64_t{result.jobs.gangs_requeued});
-    out += ',';
-    Field(out, "gangs_abandoned", std::uint64_t{result.jobs.gangs_abandoned});
-    out += ',';
-    Field(out, "pending_peak", std::uint64_t{result.jobs.pending_peak});
-    out += ',';
-    Field(out, "gang_wait_seconds", result.jobs.gang_wait_seconds);
-    out += '}';
-  }
-
-  // Profit settlement (omitted entirely outside econ mode, so pre-econ
-  // records and zero-model runs serialize byte-identically).
-  if (result.econ.enabled) {
-    out += ",\"econ\":{";
-    Field(out, "revenue", result.econ.revenue);
-    out += ',';
-    Field(out, "energy_cost", result.econ.energy_cost);
-    out += ',';
-    Field(out, "net_profit", result.econ.net_profit);
-    out += ',';
-    Field(out, "value_offered", result.econ.value_offered);
-    out += ',';
-    Field(out, "paid_finishes", std::uint64_t{result.econ.paid_finishes});
-    out += ',';
-    Field(out, "decayed_finishes",
-          std::uint64_t{result.econ.decayed_finishes});
-    out += ',';
-    Field(out, "premium_total", std::uint64_t{result.econ.premium_total});
-    out += ',';
-    Field(out, "premium_on_time", std::uint64_t{result.econ.premium_on_time});
+  AppendRows(out, result, ResultBlock::kTop);
+  for (const ResultBlock block : kExtensionBlocks) {
+    if (!ResultBlockEnabled(result, block)) continue;
+    out += ",\"";
+    out += ResultBlockKey(block);
+    out += "\":{";
+    AppendRows(out, result, block);
     out += '}';
   }
 
@@ -437,90 +365,16 @@ TrialResult TrialResultFromValue(const json::Value& object) {
     BadRecord("trial result is not a JSON object");
   }
   TrialResult result;
-  result.window_size = RequireUint(object, "window");
-  result.completed = RequireUint(object, "completed");
-  result.missed_deadlines = RequireUint(object, "missed");
-  result.discarded = RequireUint(object, "discarded");
-  result.finished_late = RequireUint(object, "late");
-  result.on_time_but_over_budget = RequireUint(object, "over_budget");
-  result.cancelled = RequireUint(object, "cancelled");
-  result.failures_injected = RequireUint(object, "failures");
-  result.repairs_applied = RequireUint(object, "repairs");
-  result.throttles_injected = RequireUint(object, "throttles");
-  result.tasks_lost_to_failures = RequireUint(object, "lost");
-  result.tasks_remapped = RequireUint(object, "remapped");
-  result.remapped_on_time = RequireUint(object, "remapped_on_time");
-  // Optional (written only when non-zero; see TrialResultToJson).
-  const auto OptionalUint = [](const json::Value& obj, std::string_view key) {
-    return obj.Find(key) != nullptr ? RequireUint(obj, key) : 0;
-  };
-  result.domain_outages = OptionalUint(object, "domain_outages");
-  result.domain_repairs = OptionalUint(object, "domain_repairs");
-  result.weighted_total = RequireNumber(object, "weighted_total");
-  result.weighted_completed = RequireNumber(object, "weighted_completed");
-  result.weighted_missed = RequireNumber(object, "weighted_missed");
-  result.total_energy = RequireNumber(object, "energy");
-  const json::Value& exhausted = Require(object, "exhausted_at");
-  if (!exhausted.is_null()) {
-    if (exhausted.kind() != json::Value::Kind::kNumber) {
-      BadRecord("field \"exhausted_at\" is neither a number nor null");
+  ReadRows(object, result, ResultBlock::kTop);
+  for (const ResultBlock block : kExtensionBlocks) {
+    const std::string_view key = ResultBlockKey(block);
+    if (const json::Value* block_object = object.Find(key)) {
+      if (block_object->kind() != json::Value::Kind::kObject) {
+        BadRecord("field \"" + std::string(key) + "\" is not an object");
+      }
+      ResultBlockEnabled(result, block) = true;
+      ReadRows(*block_object, result, block);
     }
-    result.energy_exhausted_at = exhausted.AsNumber();
-  }
-  result.estimated_energy_remaining = RequireNumber(object, "energy_remaining");
-  result.makespan = RequireNumber(object, "makespan");
-
-  if (const json::Value* stream = object.Find("stream")) {
-    if (stream->kind() != json::Value::Kind::kObject) {
-      BadRecord("field \"stream\" is not an object");
-    }
-    result.stream.enabled = true;
-    result.stream.windows = RequireUint(*stream, "windows");
-    result.stream.deferred = RequireUint(*stream, "deferred");
-    result.stream.admission_dropped = RequireUint(*stream, "admission_dropped");
-    result.stream.released = RequireUint(*stream, "released");
-    result.stream.forced_admissions = RequireUint(*stream, "forced");
-    result.stream.pen_peak = RequireUint(*stream, "pen_peak");
-    result.stream.emergency_entries = RequireUint(*stream, "emergency_entries");
-    result.stream.emergency_seconds =
-        RequireNumber(*stream, "emergency_seconds");
-    result.stream.degraded_entries = RequireUint(*stream, "degraded_entries");
-    result.stream.degraded_seconds =
-        RequireNumber(*stream, "degraded_seconds");
-    result.stream.min_available = RequireNumber(*stream, "min_available");
-    result.stream.final_available = RequireNumber(*stream, "final_available");
-  }
-
-  if (const json::Value* jobs = object.Find("jobs")) {
-    if (jobs->kind() != json::Value::Kind::kObject) {
-      BadRecord("field \"jobs\" is not an object");
-    }
-    result.jobs.enabled = true;
-    result.jobs.jobs = RequireUint(*jobs, "jobs");
-    result.jobs.jobs_on_time = RequireUint(*jobs, "on_time");
-    result.jobs.jobs_late = RequireUint(*jobs, "late");
-    result.jobs.jobs_failed = RequireUint(*jobs, "failed");
-    result.jobs.gangs_placed = RequireUint(*jobs, "gangs_placed");
-    result.jobs.gang_waits = RequireUint(*jobs, "gang_waits");
-    result.jobs.gangs_requeued = RequireUint(*jobs, "gangs_requeued");
-    result.jobs.gangs_abandoned = RequireUint(*jobs, "gangs_abandoned");
-    result.jobs.pending_peak = RequireUint(*jobs, "pending_peak");
-    result.jobs.gang_wait_seconds = RequireNumber(*jobs, "gang_wait_seconds");
-  }
-
-  if (const json::Value* econ = object.Find("econ")) {
-    if (econ->kind() != json::Value::Kind::kObject) {
-      BadRecord("field \"econ\" is not an object");
-    }
-    result.econ.enabled = true;
-    result.econ.revenue = RequireNumber(*econ, "revenue");
-    result.econ.energy_cost = RequireNumber(*econ, "energy_cost");
-    result.econ.net_profit = RequireNumber(*econ, "net_profit");
-    result.econ.value_offered = RequireNumber(*econ, "value_offered");
-    result.econ.paid_finishes = RequireUint(*econ, "paid_finishes");
-    result.econ.decayed_finishes = RequireUint(*econ, "decayed_finishes");
-    result.econ.premium_total = RequireUint(*econ, "premium_total");
-    result.econ.premium_on_time = RequireUint(*econ, "premium_on_time");
   }
 
   if (const json::Value* counters = object.Find("counters")) {
@@ -679,10 +533,7 @@ CheckpointStore CheckpointStore::Load(const std::string& path,
     }
 
     if (line_number == 1) {
-      // Header. Schema refusal outranks the CRC check: records of older
-      // schemas carry no crc field at all, and salvage must not mistake
-      // "written by an older build" for torn-write damage and destroy a
-      // perfectly healthy store.
+      // Header. Schema refusal outranks the CRC check (RequireSchema).
       const std::optional<json::Value> value = json::Parse(line);
       CheckpointHeader header;
       bool parsed = false;
@@ -709,13 +560,7 @@ CheckpointStore CheckpointStore::Load(const std::string& path,
         }
         continue;
       }
-      if (header.schema_version != kCheckpointSchemaVersion) {
-        throw CheckpointError(
-            CheckpointErrorKind::kSchemaVersion,
-            path + ": written with schema version " +
-                std::to_string(header.schema_version) + ", this build reads " +
-                std::to_string(kCheckpointSchemaVersion));
-      }
+      RequireSchema(header.schema_version, kCheckpointSchemaVersion, path);
       const CrcStatus crc = VerifyLineCrc(line);
       if (crc != CrcStatus::kOk) {
         if (damaged(CheckpointErrorKind::kCrcMismatch,

@@ -36,31 +36,16 @@
 namespace ecdra::sim {
 
 /// Bumped whenever the record layout or the config-fingerprint preimage
-/// changes incompatibly; files written with any other version are refused
-/// rather than half-understood. v2: the fingerprint became FNV-1a over
-/// policy::FingerprintText (the ScenarioSpec recipe) instead of an ad-hoc
-/// hash of the sampled environment — the preimages differ, so v1 stores
-/// must not be silently resumed against v2 hashes. v3: the fingerprint
-/// preimage grew the run.governor line ("ecdra-scenario-fingerprint v2"),
-/// so a v2 store cannot attest what governor produced its trials. v4: the
-/// preimage grew run.mode and the stream.* block ("ecdra-scenario-fingerprint
-/// v3") and trial records grew the "stream" aggregate object — a v3 store
-/// cannot attest whether its trials ran fixed-trace or streaming semantics.
-/// v5: every line carries a trailing "crc" field (CRC-32 of the rest of the
-/// record) so torn and bit-flipped lines are distinguishable, the
-/// fingerprint preimage grew the run.fault.domain_* and stream.degraded_*
-/// lines ("ecdra-scenario-fingerprint v4"), and trial records grew the
-/// domain-fault / migration scalars — a v4 store has none of these, so it
-/// cannot attest what its trials computed and carries no CRCs to salvage by.
-/// v6: the fingerprint preimage grew the job block (env.workload.jobs.*,
-/// run.jobs.placement; "ecdra-scenario-fingerprint v5") and trial records
-/// grew the "jobs" aggregate object — a v5 store cannot attest whether gang
-/// jobs and precedence chains shaped its trials.
-/// v7: the fingerprint preimage grew the econ block (env.econ.*, run.econ.*;
-/// "ecdra-scenario-fingerprint v6") and trial records grew the "econ"
-/// profit object — a v6 store cannot attest whether per-task value, SLA
-/// tiers, or the energy price shaped its trials, so Load refuses it with
-/// kSchemaVersion naming both versions.
+/// changes incompatibly; a store of any other version is refused with
+/// kSchemaVersion naming both versions, never half-understood — an older
+/// store cannot attest what the newer keys did to its trials. The bumps:
+/// v2 fingerprints policy::FingerprintText (the ScenarioSpec recipe) instead
+/// of the sampled environment; v3 adds run.governor to it; v4 run.mode and
+/// the stream.* block, with the record's "stream" object; v5 a "crc" field
+/// on every line, the run.fault.domain_* and stream.degraded_* keys and the
+/// domain-fault scalars; v6 the job block (env.workload.jobs.*,
+/// run.jobs.placement) and the record's "jobs" object; v7 the econ block
+/// (env.econ.*, run.econ.*) and the record's "econ" object.
 inline constexpr std::uint32_t kCheckpointSchemaVersion = 7;
 
 enum class CheckpointErrorKind {

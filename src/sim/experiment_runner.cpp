@@ -5,10 +5,15 @@
 #include <future>
 #include <memory>
 #include <optional>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
+#include "core/gang_placement.hpp"
 #include "core/scheduler.hpp"
+#include "governor/governor.hpp"
 #include "sim/checkpoint.hpp"
+#include "stream/admission.hpp"
 #include "util/assert.hpp"
 #include "util/thread_pool.hpp"
 
@@ -25,6 +30,19 @@ double AveragePower(const cluster::Cluster& cluster) {
   }
   return sum / (static_cast<double>(cluster.num_nodes()) *
                 static_cast<double>(cluster::kNumPStates));
+}
+
+/// Refuses a policy name that `registry` does not hold, in
+/// policy::RequireValidSpec's one-line form: key, flag, registered names.
+void RequireRegistered(const policy::ScenarioSpec& spec, std::string_view key,
+                       const auto& registry) {
+  const auto knob = std::ranges::find(policy::Knobs(), key, &policy::Knob::key);
+  const std::string name = knob->get(spec);
+  if (registry.Contains(name)) return;
+  throw std::invalid_argument(std::string(key) + " (" +
+                              std::string(knob->flag) +
+                              ") must be registered (registered: " +
+                              registry.JoinedNames() + "), got " + name);
 }
 
 }  // namespace
@@ -70,11 +88,15 @@ ExperimentSetup BuildExperimentSetup(const policy::ScenarioSpec& spec) {
 }
 
 RunOptions RunOptionsFromSpec(const policy::ScenarioSpec& spec) {
-  // One check for every knob, whether a spec file or a flag set it; then
-  // the typed refusal of a stream block the run mode cannot honor (and a
-  // streaming run without a rate), naming the incompatible stream.* fields
-  // instead of silently ignoring the block.
+  // One check for every knob, whether a spec file or a flag set it, and
+  // for every policy name against its live registry; then the typed refusal
+  // of a stream block the run mode cannot honor (and a streaming run
+  // without a rate), naming the incompatible stream.* fields instead of
+  // silently ignoring the block.
   policy::RequireValidSpec(spec);
+  RequireRegistered(spec, "run.governor", governor::GovernorRegistry());
+  RequireRegistered(spec, "stream.admission", stream::AdmissionRegistry());
+  RequireRegistered(spec, "run.jobs.placement", core::GangPlacementRegistry());
   policy::RequireStreamCompatible(spec.mode, spec.stream);
   RunOptions options;
   static_cast<policy::RunKnobs&>(options) = spec;

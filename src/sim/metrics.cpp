@@ -1,188 +1,205 @@
 #include "sim/metrics.hpp"
 
 #include <ostream>
+#include <type_traits>
 
 #include "util/assert.hpp"
 
 namespace ecdra::sim {
 
-std::ostream& operator<<(std::ostream& os, const TrialResult& result) {
-  os << "TrialResult{window=" << result.window_size
-     << ", completed=" << result.completed
-     << ", missed=" << result.missed_deadlines
-     << " (discarded=" << result.discarded
-     << ", late=" << result.finished_late
-     << ", over_budget=" << result.on_time_but_over_budget
-     << ", cancelled=" << result.cancelled
-     << "), energy=" << result.total_energy;
-  if (result.failures_injected > 0 || result.throttles_injected > 0 ||
-      result.domain_outages > 0) {
-    os << ", failures=" << result.failures_injected
-       << ", repairs=" << result.repairs_applied
-       << ", throttles=" << result.throttles_injected
-       << ", lost=" << result.tasks_lost_to_failures
-       << ", remapped=" << result.tasks_remapped
-       << ", remapped_on_time=" << result.remapped_on_time;
-    if (result.domain_outages > 0) {
-      os << ", domain_outages=" << result.domain_outages
-         << ", domain_repairs=" << result.domain_repairs;
+namespace {
+
+/// One table row. `Field` is a captureless lambda returning a reference into
+/// the result (FIELD); its type picks the ResultValue alternative.
+template <typename Field>
+constexpr ResultField Row(ResultBlock block, std::string_view key, Field,
+                          double SummaryStatistics::* mean = nullptr,
+                          bool omit_when_zero = false) {
+  return ResultField{
+      .key = key,
+      .block = block,
+      .get = [](const TrialResult& result) -> ResultValue {
+        return Field{}(result);
+      },
+      .set =
+          [](TrialResult& result, const ResultValue& value) {
+            auto& slot = Field{}(result);
+            slot = std::get<std::remove_reference_t<decltype(slot)>>(value);
+          },
+      .omit_when_zero = omit_when_zero,
+      .mean = mean,
+  };
+}
+
+#define FIELD(path) [](auto& result) -> auto& { return result.path; }
+
+using enum ResultBlock;
+using S = SummaryStatistics;
+constexpr bool kOmitWhenZero = true;
+
+// The table. Row order is the record's key order within each block.
+constexpr ResultField kResultFields[] = {
+    Row(kTop, "window", FIELD(window_size)),
+    Row(kTop, "completed", FIELD(completed), &S::mean_completed),
+    Row(kTop, "missed", FIELD(missed_deadlines), &S::mean_missed),
+    Row(kTop, "discarded", FIELD(discarded), &S::mean_discarded),
+    Row(kTop, "late", FIELD(finished_late)),
+    Row(kTop, "over_budget", FIELD(on_time_but_over_budget)),
+    Row(kTop, "cancelled", FIELD(cancelled), &S::mean_cancelled),
+    Row(kTop, "failures", FIELD(failures_injected), &S::mean_failures),
+    Row(kTop, "repairs", FIELD(repairs_applied)),
+    Row(kTop, "throttles", FIELD(throttles_injected)),
+    Row(kTop, "lost", FIELD(tasks_lost_to_failures), &S::mean_tasks_lost),
+    Row(kTop, "remapped", FIELD(tasks_remapped), &S::mean_remapped),
+    Row(kTop, "remapped_on_time", FIELD(remapped_on_time),
+        &S::mean_remapped_on_time),
+    Row(kTop, "domain_outages", FIELD(domain_outages),
+        &S::mean_domain_outages, kOmitWhenZero),
+    Row(kTop, "domain_repairs", FIELD(domain_repairs), nullptr,
+        kOmitWhenZero),
+    Row(kTop, "weighted_total", FIELD(weighted_total)),
+    Row(kTop, "weighted_completed", FIELD(weighted_completed)),
+    Row(kTop, "weighted_missed", FIELD(weighted_missed)),
+    Row(kTop, "energy", FIELD(total_energy), &S::mean_energy),
+    Row(kTop, "exhausted_at", FIELD(energy_exhausted_at)),
+    Row(kTop, "energy_remaining", FIELD(estimated_energy_remaining)),
+    Row(kTop, "makespan", FIELD(makespan), &S::mean_makespan),
+
+    Row(kStream, "windows", FIELD(stream.windows)),
+    Row(kStream, "deferred", FIELD(stream.deferred),
+        &S::mean_stream_deferred),
+    Row(kStream, "admission_dropped", FIELD(stream.admission_dropped),
+        &S::mean_stream_dropped),
+    Row(kStream, "released", FIELD(stream.released),
+        &S::mean_stream_released),
+    Row(kStream, "forced", FIELD(stream.forced_admissions)),
+    Row(kStream, "pen_peak", FIELD(stream.pen_peak)),
+    Row(kStream, "emergency_entries", FIELD(stream.emergency_entries)),
+    Row(kStream, "emergency_seconds", FIELD(stream.emergency_seconds),
+        &S::mean_emergency_seconds),
+    Row(kStream, "degraded_entries", FIELD(stream.degraded_entries)),
+    Row(kStream, "degraded_seconds", FIELD(stream.degraded_seconds),
+        &S::mean_degraded_seconds),
+    Row(kStream, "min_available", FIELD(stream.min_available)),
+    Row(kStream, "final_available", FIELD(stream.final_available)),
+
+    Row(kJobs, "jobs", FIELD(jobs.jobs)),
+    Row(kJobs, "on_time", FIELD(jobs.jobs_on_time), &S::mean_jobs_on_time),
+    Row(kJobs, "late", FIELD(jobs.jobs_late)),
+    Row(kJobs, "failed", FIELD(jobs.jobs_failed), &S::mean_jobs_failed),
+    Row(kJobs, "gangs_placed", FIELD(jobs.gangs_placed),
+        &S::mean_gangs_placed),
+    Row(kJobs, "gang_waits", FIELD(jobs.gang_waits), &S::mean_gang_waits),
+    Row(kJobs, "gangs_requeued", FIELD(jobs.gangs_requeued)),
+    Row(kJobs, "gangs_abandoned", FIELD(jobs.gangs_abandoned)),
+    Row(kJobs, "pending_peak", FIELD(jobs.pending_peak)),
+    Row(kJobs, "gang_wait_seconds", FIELD(jobs.gang_wait_seconds),
+        &S::mean_gang_wait_seconds),
+
+    Row(kEcon, "revenue", FIELD(econ.revenue), &S::mean_revenue),
+    Row(kEcon, "energy_cost", FIELD(econ.energy_cost), &S::mean_energy_cost),
+    Row(kEcon, "net_profit", FIELD(econ.net_profit), &S::mean_net_profit),
+    Row(kEcon, "value_offered", FIELD(econ.value_offered),
+        &S::mean_value_offered),
+    Row(kEcon, "paid_finishes", FIELD(econ.paid_finishes)),
+    Row(kEcon, "decayed_finishes", FIELD(econ.decayed_finishes)),
+    Row(kEcon, "premium_total", FIELD(econ.premium_total)),
+    Row(kEcon, "premium_on_time", FIELD(econ.premium_on_time)),
+};
+
+#undef FIELD
+
+/// Prints one block's rows as "key=value" pairs, skipping omitted zeros.
+void PrintRows(std::ostream& os, const TrialResult& result,
+               ResultBlock block) {
+  const char* separator = "";
+  for (const ResultField& field : kResultFields) {
+    if (field.block != block) continue;
+    const ResultValue value = field.get(result);
+    if (field.omit_when_zero && value == ResultValue{std::size_t{0}}) {
+      continue;
     }
+    os << separator << field.key << '=';
+    separator = ", ";
+    std::visit(
+        [&]<typename T>(const T& number) {
+          if constexpr (std::is_same_v<T, std::optional<double>>) {
+            if (number) {
+              os << *number;
+            } else {
+              os << "null";
+            }
+          } else {
+            os << number;
+          }
+        },
+        value);
   }
-  if (result.energy_exhausted_at) {
-    os << ", exhausted_at=" << *result.energy_exhausted_at;
-  }
-  if (result.stream.enabled) {
-    os << ", stream{windows=" << result.stream.windows
-       << ", deferred=" << result.stream.deferred
-       << ", admission_dropped=" << result.stream.admission_dropped
-       << ", released=" << result.stream.released
-       << ", forced=" << result.stream.forced_admissions
-       << ", pen_peak=" << result.stream.pen_peak
-       << ", emergencies=" << result.stream.emergency_entries
-       << ", emergency_s=" << result.stream.emergency_seconds
-       << ", degraded=" << result.stream.degraded_entries
-       << ", degraded_s=" << result.stream.degraded_seconds
-       << ", min_available=" << result.stream.min_available
-       << ", final_available=" << result.stream.final_available << "}";
-  }
-  if (result.jobs.enabled) {
-    os << ", jobs{total=" << result.jobs.jobs
-       << ", on_time=" << result.jobs.jobs_on_time
-       << ", late=" << result.jobs.jobs_late
-       << ", failed=" << result.jobs.jobs_failed
-       << ", gangs_placed=" << result.jobs.gangs_placed
-       << ", gang_waits=" << result.jobs.gang_waits
-       << ", gangs_requeued=" << result.jobs.gangs_requeued
-       << ", gangs_abandoned=" << result.jobs.gangs_abandoned
-       << ", pending_peak=" << result.jobs.pending_peak
-       << ", gang_wait_s=" << result.jobs.gang_wait_seconds << "}";
-  }
-  if (result.econ.enabled) {
-    os << ", econ{revenue=" << result.econ.revenue
-       << ", cost=" << result.econ.energy_cost
-       << ", net=" << result.econ.net_profit
-       << ", offered=" << result.econ.value_offered
-       << ", paid=" << result.econ.paid_finishes
-       << ", decayed=" << result.econ.decayed_finishes
-       << ", premium=" << result.econ.premium_on_time << "/"
-       << result.econ.premium_total << "}";
+}
+
+}  // namespace
+
+std::span<const ResultField> ResultFields() noexcept { return kResultFields; }
+
+std::ostream& operator<<(std::ostream& os, const TrialResult& result) {
+  os << "TrialResult{";
+  PrintRows(os, result, ResultBlock::kTop);
+  for (const ResultBlock block : kExtensionBlocks) {
+    if (!ResultBlockEnabled(result, block)) continue;
+    os << ", " << ResultBlockKey(block) << '{';
+    PrintRows(os, result, block);
+    os << '}';
   }
   if (!result.validation.ok()) {
     os << ", validation=" << result.validation;
   }
-  return os << ", makespan=" << result.makespan << "}";
+  return os << '}';
 }
 
 SummaryStatistics SummarizeTrials(std::span<const TrialResult> trials) {
   ECDRA_REQUIRE(!trials.empty(), "cannot summarize zero trials");
   SummaryStatistics summary;
   summary.trials = trials.size();
+  // Each mean sums its trials in order, then divides once. Only count and
+  // number rows carry a mean.
+  const auto as_double = [](const ResultValue& value) {
+    const double* number = std::get_if<double>(&value);
+    if (number != nullptr) return *number;
+    return static_cast<double>(std::get<std::size_t>(value));
+  };
   for (const TrialResult& trial : trials) {
-    summary.mean_missed += static_cast<double>(trial.missed_deadlines);
-    summary.mean_completed += static_cast<double>(trial.completed);
-    summary.mean_discarded += static_cast<double>(trial.discarded);
-    summary.mean_cancelled += static_cast<double>(trial.cancelled);
-    summary.mean_energy += trial.total_energy;
-    summary.mean_makespan += trial.makespan;
-    summary.mean_failures += static_cast<double>(trial.failures_injected);
-    summary.mean_tasks_lost +=
-        static_cast<double>(trial.tasks_lost_to_failures);
-    summary.mean_remapped += static_cast<double>(trial.tasks_remapped);
-    summary.mean_remapped_on_time +=
-        static_cast<double>(trial.remapped_on_time);
-    summary.mean_domain_outages += static_cast<double>(trial.domain_outages);
+    for (const ResultField& field : kResultFields) {
+      if (field.mean != nullptr) {
+        summary.*(field.mean) += as_double(field.get(trial));
+      }
+    }
     if (trial.stream.enabled) ++summary.stream_trials;
-    summary.mean_stream_deferred += static_cast<double>(trial.stream.deferred);
-    summary.mean_stream_dropped +=
-        static_cast<double>(trial.stream.admission_dropped);
-    summary.mean_stream_released += static_cast<double>(trial.stream.released);
-    summary.mean_emergency_seconds += trial.stream.emergency_seconds;
-    summary.mean_degraded_seconds += trial.stream.degraded_seconds;
     if (trial.jobs.enabled) ++summary.job_trials;
-    summary.mean_jobs_on_time += static_cast<double>(trial.jobs.jobs_on_time);
-    summary.mean_jobs_failed += static_cast<double>(trial.jobs.jobs_failed);
-    summary.mean_gangs_placed += static_cast<double>(trial.jobs.gangs_placed);
-    summary.mean_gang_waits += static_cast<double>(trial.jobs.gang_waits);
-    summary.mean_gang_wait_seconds += trial.jobs.gang_wait_seconds;
     if (trial.econ.enabled) ++summary.econ_trials;
-    summary.mean_revenue += trial.econ.revenue;
-    summary.mean_energy_cost += trial.econ.energy_cost;
-    summary.mean_net_profit += trial.econ.net_profit;
-    summary.mean_value_offered += trial.econ.value_offered;
     summary.counters.Merge(trial.counters);
     summary.validation_checks += trial.validation.checks_run;
     summary.validation_violations += trial.validation.violations;
   }
   const double n = static_cast<double>(trials.size());
-  summary.mean_missed /= n;
-  summary.mean_completed /= n;
-  summary.mean_discarded /= n;
-  summary.mean_cancelled /= n;
-  summary.mean_energy /= n;
-  summary.mean_makespan /= n;
-  summary.mean_failures /= n;
-  summary.mean_tasks_lost /= n;
-  summary.mean_remapped /= n;
-  summary.mean_remapped_on_time /= n;
-  summary.mean_domain_outages /= n;
-  summary.mean_stream_deferred /= n;
-  summary.mean_stream_dropped /= n;
-  summary.mean_stream_released /= n;
-  summary.mean_emergency_seconds /= n;
-  summary.mean_degraded_seconds /= n;
-  summary.mean_jobs_on_time /= n;
-  summary.mean_jobs_failed /= n;
-  summary.mean_gangs_placed /= n;
-  summary.mean_gang_waits /= n;
-  summary.mean_gang_wait_seconds /= n;
-  summary.mean_revenue /= n;
-  summary.mean_energy_cost /= n;
-  summary.mean_net_profit /= n;
-  summary.mean_value_offered /= n;
+  for (const ResultField& field : kResultFields) {
+    if (field.mean != nullptr) summary.*(field.mean) /= n;
+  }
   return summary;
 }
 
 std::ostream& operator<<(std::ostream& os, const SummaryStatistics& summary) {
-  os << "SummaryStatistics{trials=" << summary.trials
-     << ", mean_missed=" << summary.mean_missed
-     << ", mean_completed=" << summary.mean_completed
-     << ", mean_discarded=" << summary.mean_discarded
-     << ", mean_energy=" << summary.mean_energy
-     << ", mean_makespan=" << summary.mean_makespan;
-  if (summary.mean_failures > 0.0 || summary.mean_domain_outages > 0.0) {
-    os << ", mean_failures=" << summary.mean_failures
-       << ", mean_tasks_lost=" << summary.mean_tasks_lost
-       << ", mean_remapped=" << summary.mean_remapped
-       << ", mean_remapped_on_time=" << summary.mean_remapped_on_time;
-    if (summary.mean_domain_outages > 0.0) {
-      os << ", mean_domain_outages=" << summary.mean_domain_outages;
-    }
+  os << "SummaryStatistics{trials=" << summary.trials;
+  for (const ResultField& field : kResultFields) {
+    if (field.mean == nullptr || summary.*(field.mean) == 0.0) continue;
+    os << ", mean_";
+    if (field.block != kTop) os << ResultBlockKey(field.block) << '_';
+    os << field.key << '=' << summary.*(field.mean);
   }
   if (summary.stream_trials > 0) {
-    os << ", stream_trials=" << summary.stream_trials
-       << ", mean_stream_deferred=" << summary.mean_stream_deferred
-       << ", mean_stream_dropped=" << summary.mean_stream_dropped
-       << ", mean_stream_released=" << summary.mean_stream_released
-       << ", mean_emergency_seconds=" << summary.mean_emergency_seconds;
-    if (summary.mean_degraded_seconds > 0.0) {
-      os << ", mean_degraded_seconds=" << summary.mean_degraded_seconds;
-    }
+    os << ", stream_trials=" << summary.stream_trials;
   }
-  if (summary.job_trials > 0) {
-    os << ", job_trials=" << summary.job_trials
-       << ", mean_jobs_on_time=" << summary.mean_jobs_on_time
-       << ", mean_jobs_failed=" << summary.mean_jobs_failed
-       << ", mean_gangs_placed=" << summary.mean_gangs_placed
-       << ", mean_gang_waits=" << summary.mean_gang_waits
-       << ", mean_gang_wait_seconds=" << summary.mean_gang_wait_seconds;
-  }
-  if (summary.econ_trials > 0) {
-    os << ", econ_trials=" << summary.econ_trials
-       << ", mean_revenue=" << summary.mean_revenue
-       << ", mean_energy_cost=" << summary.mean_energy_cost
-       << ", mean_net_profit=" << summary.mean_net_profit
-       << ", mean_value_offered=" << summary.mean_value_offered;
-  }
+  if (summary.job_trials > 0) os << ", job_trials=" << summary.job_trials;
+  if (summary.econ_trials > 0) os << ", econ_trials=" << summary.econ_trials;
   if (summary.failed_trials > 0 || summary.retried_trials > 0 ||
       summary.timed_out_trials > 0) {
     os << ", failed_trials=" << summary.failed_trials

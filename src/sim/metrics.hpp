@@ -11,6 +11,8 @@
 #include <iosfwd>
 #include <optional>
 #include <span>
+#include <string_view>
+#include <variant>
 #include <vector>
 
 #include "cluster/pstate.hpp"
@@ -285,12 +287,59 @@ struct SummaryStatistics {
   std::size_t retried_trials = 0;
 };
 
+/// Where a TrialResult field sits in the checkpoint record: at the top level
+/// or inside one extension object, which is written only when its block's
+/// `enabled` flag is set (so records of runs without the extension stay
+/// byte-identical to builds that predate it).
+enum class ResultBlock { kTop, kStream, kJobs, kEcon };
+inline constexpr ResultBlock kExtensionBlocks[] = {
+    ResultBlock::kStream, ResultBlock::kJobs, ResultBlock::kEcon};
+
+/// The record key of an extension block ("stream", "jobs", "econ").
+[[nodiscard]] constexpr std::string_view ResultBlockKey(ResultBlock block) {
+  using enum ResultBlock;
+  return block == kStream ? "stream"
+         : block == kJobs ? "jobs"
+         : block == kEcon ? "econ"
+                          : "";
+}
+/// An extension block's `enabled` flag, in a TrialResult or a const one.
+template <typename Result>
+[[nodiscard]] auto& ResultBlockEnabled(Result& result, ResultBlock block) {
+  if (block == ResultBlock::kStream) return result.stream.enabled;
+  if (block == ResultBlock::kJobs) return result.jobs.enabled;
+  return result.econ.enabled;
+}
+
+/// One TrialResult field's value. The alternative picks the codec: a count,
+/// a number, or a number-or-null (energy_exhausted_at).
+using ResultValue = std::variant<std::size_t, double, std::optional<double>>;
+
+/// One row of the TrialResult field table. The checkpoint record and its
+/// parser, the debug printer and SummarizeTrials all walk this table, so a
+/// new result field is one struct member plus one row. Row order is the
+/// record's key order, which the golden grid hashes.
+struct ResultField {
+  std::string_view key;
+  ResultBlock block = ResultBlock::kTop;
+  ResultValue (*get)(const TrialResult&) = nullptr;
+  /// Stores a value of the alternative get() returns.
+  void (*set)(TrialResult&, const ResultValue&) = nullptr;
+  /// Written only when non-zero (domain_outages, domain_repairs), so a
+  /// record from a run without domain faults predates them byte for byte.
+  bool omit_when_zero = false;
+  /// The SummaryStatistics mean this field feeds, if any.
+  double SummaryStatistics::* mean = nullptr;
+};
+[[nodiscard]] std::span<const ResultField> ResultFields() noexcept;
+
 /// Aggregates trial results (at least one required).
 [[nodiscard]] SummaryStatistics SummarizeTrials(
     std::span<const TrialResult> trials);
 
-/// Prints the means and, when counter collection was on, the counter block
-/// with derived rates (ReadyPmf hit rate, mean decision latency).
+/// Prints the non-zero means (named mean_<block>_<record key>) and, when
+/// counter collection was on, the counter block with derived rates
+/// (ReadyPmf hit rate, mean decision latency).
 std::ostream& operator<<(std::ostream& os, const SummaryStatistics& summary);
 
 }  // namespace ecdra::sim

@@ -10,10 +10,17 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <optional>
+#include <set>
 #include <string>
+#include <type_traits>
+#include <utility>
+#include <variant>
 #include <vector>
 
+#include "obs/json.hpp"
 #include "sim/experiment_runner.hpp"
+#include "test_support.hpp"
 #include "util/crc32.hpp"
 
 namespace ecdra::sim {
@@ -65,27 +72,24 @@ std::string ReadFile(const std::string& path) {
                      std::istreambuf_iterator<char>());
 }
 
-/// EXPECT_EQ on every simulation-deterministic field (bit-exact doubles;
-/// excludes wall-clock decision_seconds).
-void ExpectBitIdentical(const TrialResult& a, const TrialResult& b) {
-  EXPECT_EQ(a.window_size, b.window_size);
-  EXPECT_EQ(a.completed, b.completed);
-  EXPECT_EQ(a.missed_deadlines, b.missed_deadlines);
-  EXPECT_EQ(a.discarded, b.discarded);
-  EXPECT_EQ(a.finished_late, b.finished_late);
-  EXPECT_EQ(a.on_time_but_over_budget, b.on_time_but_over_budget);
-  EXPECT_EQ(a.cancelled, b.cancelled);
-  EXPECT_EQ(a.weighted_total, b.weighted_total);
-  EXPECT_EQ(a.weighted_completed, b.weighted_completed);
-  EXPECT_EQ(a.weighted_missed, b.weighted_missed);
-  EXPECT_EQ(a.total_energy, b.total_energy);
-  EXPECT_EQ(a.energy_exhausted_at.has_value(),
-            b.energy_exhausted_at.has_value());
-  if (a.energy_exhausted_at && b.energy_exhausted_at) {
-    EXPECT_EQ(*a.energy_exhausted_at, *b.energy_exhausted_at);
+/// The kind of CheckpointError `action` throws (nullopt when it throws
+/// none); `message` receives its text.
+std::optional<CheckpointErrorKind> ErrorKind(const auto& action,
+                                             std::string* message = nullptr) {
+  try {
+    action();
+  } catch (const CheckpointError& error) {
+    if (message != nullptr) *message = error.what();
+    return error.kind();
   }
-  EXPECT_EQ(a.estimated_energy_remaining, b.estimated_energy_remaining);
-  EXPECT_EQ(a.makespan, b.makespan);
+  return std::nullopt;
+}
+
+std::optional<CheckpointErrorKind> LoadErrorKind(
+    const std::string& path, const CheckpointStore::LoadOptions& options = {},
+    std::string* message = nullptr) {
+  return ErrorKind([&] { (void)CheckpointStore::Load(path, options); },
+                   message);
 }
 
 TEST(TrialResultJson, RoundTripIsBitExact) {
@@ -97,7 +101,7 @@ TEST(TrialResultJson, RoundTripIsBitExact) {
                                               options);
 
   const TrialResult restored = TrialResultFromJson(TrialResultToJson(original));
-  ExpectBitIdentical(original, restored);
+  test::ExpectSameResult(original, restored);
   // Counters and validation ride along exactly.
   for (const obs::CounterField& field : obs::CounterFields()) {
     EXPECT_EQ(original.counters.*(field.slot), restored.counters.*(field.slot))
@@ -128,26 +132,6 @@ TEST(TrialResultJson, NullExhaustedAtAndViolationsRoundTrip) {
   EXPECT_EQ(restored.validation.by_check[0], result.validation.by_check[0]);
 }
 
-TEST(TrialResultJson, EconBlockRoundTripsBitExact) {
-  TrialResult result;
-  result.window_size = 10;
-  result.completed = 10;
-  result.econ.enabled = true;
-  result.econ.revenue = 0x1.91eb851eb851fp+6;  // exactness probes
-  result.econ.energy_cost = 0x1.2c0p+7;
-  result.econ.net_profit = result.econ.revenue - result.econ.energy_cost;
-  result.econ.value_offered = 250.0;
-  result.econ.paid_finishes = 42;
-  result.econ.decayed_finishes = 3;
-  result.econ.premium_total = 17;
-  result.econ.premium_on_time = 11;
-
-  const std::string json = TrialResultToJson(result);
-  EXPECT_NE(json.find("\"econ\":{"), std::string::npos) << json;
-  const TrialResult restored = TrialResultFromJson(json);
-  EXPECT_EQ(restored.econ, result.econ);
-}
-
 TEST(TrialResultJson, EconOffTrialsKeepThePreEconFormat) {
   // A trial without econ metering must serialize without any "econ" key —
   // and a pre-econ record line (no "econ" object) must load with the econ
@@ -164,11 +148,93 @@ TEST(TrialResultJson, EconOffTrialsKeepThePreEconFormat) {
 TEST(TrialResultJson, RejectsTaskRecords) {
   TrialResult result;
   result.task_records.emplace_back();
-  try {
-    (void)TrialResultToJson(result);
-    FAIL() << "expected CheckpointError";
-  } catch (const CheckpointError& error) {
-    EXPECT_EQ(error.kind(), CheckpointErrorKind::kUnsupportedOptions);
+  EXPECT_EQ(ErrorKind([&] { (void)TrialResultToJson(result); }),
+            CheckpointErrorKind::kUnsupportedOptions);
+}
+
+TEST(ResultFields, EveryKeyIsUniqueInItsBlockAndAFullResultRoundTrips) {
+  std::set<std::pair<ResultBlock, std::string_view>> keys;
+  for (const ResultField& field : ResultFields()) {
+    EXPECT_TRUE(keys.emplace(field.block, field.key).second)
+        << "duplicate key " << ResultBlockKey(field.block) << '.'
+        << field.key;
+  }
+
+  // Move every row off its default, each to a value no other row holds, so
+  // two rows sharing one member (or a row reaching no member) shows.
+  TrialResult result;
+  for (const ResultBlock block : kExtensionBlocks) {
+    ResultBlockEnabled(result, block) = true;
+  }
+  const TrialResult defaults;
+  std::size_t n = 0;
+  for (const ResultField& field : ResultFields()) {
+    ++n;
+    std::visit(
+        [&]<typename T>(const T&) {
+          if constexpr (std::is_same_v<T, std::size_t>) {
+            field.set(result, n);
+          } else {
+            field.set(result, T(static_cast<double>(n) / 3.0));  // probe
+          }
+        },
+        field.get(result));
+  }
+  std::set<ResultValue> values;
+  for (const ResultField& field : ResultFields()) {
+    SCOPED_TRACE(std::string(ResultBlockKey(field.block)) + "." +
+                 std::string(field.key));
+    EXPECT_NE(field.get(result), field.get(defaults));
+    EXPECT_TRUE(values.insert(field.get(result)).second);
+  }
+
+  const std::string json = TrialResultToJson(result);
+  for (const ResultBlock block : kExtensionBlocks) {
+    EXPECT_NE(json.find("\"" + std::string(ResultBlockKey(block)) + "\":{"),
+              std::string::npos)
+        << json;
+  }
+  test::ExpectSameResult(result, TrialResultFromJson(json));
+}
+
+TEST(CheckpointGolden, RewritingEveryRecordReproducesTheFileByteForByte) {
+  // Stores recorded by run_experiment_cli: one with every record block and
+  // non-zero domain scalars (exhausted_at null), one whose budget ran out
+  // (exhausted_at a number). Loading and re-appending each record under the
+  // same header must give the file back exactly, CRCs included.
+  for (const std::string name :
+       {"checkpoint_all_blocks", "checkpoint_exhausted"}) {
+    SCOPED_TRACE(name);
+    const std::string golden_path =
+        std::string(ECDRA_GOLDEN_DIR) + "/" + name + ".jsonl";
+    const std::string golden = ReadFile(golden_path);
+    ASSERT_FALSE(golden.empty()) << golden_path;
+    const CheckpointStore store = CheckpointStore::Load(golden_path);
+
+    const std::string path = TempPath("golden_" + name);
+    std::remove(path.c_str());
+    {
+      CheckpointWriter writer(path, store.header());
+      std::size_t records = 0;
+      for (std::size_t pos = golden.find('\n') + 1; pos < golden.size();) {
+        const std::size_t newline = golden.find('\n', pos);
+        const std::optional<obs::json::Value> line =
+            obs::json::Parse(golden.substr(pos, newline - pos));
+        pos = newline + 1;
+        ASSERT_TRUE(line.has_value());
+        const std::string& heuristic = line->Find("heuristic")->AsString();
+        const std::string& filter = line->Find("filter")->AsString();
+        const auto trial =
+            static_cast<std::size_t>(line->Find("trial")->AsNumber());
+        const TrialResult* result = store.Find(heuristic, filter, trial);
+        ASSERT_NE(result, nullptr);
+        writer.Append(heuristic, filter, trial, *result);
+        ++records;
+      }
+      EXPECT_EQ(records, store.size());
+    }
+    EXPECT_EQ(ReadFile(path), golden);
+    std::remove(path.c_str());
   }
 }
 
@@ -229,12 +295,11 @@ TEST(CheckpointWriter, RefusesMismatchedExistingFile) {
     CheckpointWriter writer(path,
                             {.master_seed = 3, .config_hash = "abc"});
   }
-  try {
-    CheckpointWriter writer(path, {.master_seed = 4, .config_hash = "abc"});
-    FAIL() << "expected CheckpointError";
-  } catch (const CheckpointError& error) {
-    EXPECT_EQ(error.kind(), CheckpointErrorKind::kConfigMismatch);
-  }
+  EXPECT_EQ(ErrorKind([&] {
+              CheckpointWriter writer(path,
+                                      {.master_seed = 4, .config_hash = "abc"});
+            }),
+            CheckpointErrorKind::kConfigMismatch);
   std::remove(path.c_str());
 }
 
@@ -253,12 +318,7 @@ TEST(CheckpointStore, TruncatedFinalLineIsTypedStrictAndDroppedTolerant) {
                      std::istreambuf_iterator<char>());
     WriteFile(path, text + "{\"record\":\"trial\",\"heuristic\":\"SQ");
   }
-  try {
-    (void)CheckpointStore::Load(path);
-    FAIL() << "expected CheckpointError";
-  } catch (const CheckpointError& error) {
-    EXPECT_EQ(error.kind(), CheckpointErrorKind::kTruncatedRecord);
-  }
+  EXPECT_EQ(LoadErrorKind(path), CheckpointErrorKind::kTruncatedRecord);
   const CheckpointStore store =
       CheckpointStore::Load(path, {.allow_partial_tail = true});
   EXPECT_TRUE(store.dropped_partial_tail());
@@ -266,191 +326,57 @@ TEST(CheckpointStore, TruncatedFinalLineIsTypedStrictAndDroppedTolerant) {
   std::remove(path.c_str());
 }
 
-TEST(CheckpointStore, WrongSchemaVersionIsTyped) {
-  const std::string path = TempPath("schema");
-  WriteFile(path,
-            "{\"record\":\"header\",\"schema\":99,\"seed\":\"5\","
-            "\"config\":\"x\"}\n");
-  try {
-    (void)CheckpointStore::Load(path);
-    FAIL() << "expected CheckpointError";
-  } catch (const CheckpointError& error) {
-    EXPECT_EQ(error.kind(), CheckpointErrorKind::kSchemaVersion);
-  }
-  std::remove(path.c_str());
-}
-
-TEST(CheckpointStore, SchemaV1StoreIsRefusedNamingBothVersions) {
-  // Stores written before the spec-based fingerprint (schema 1) hash a
-  // different preimage, so their config field is not comparable; the load
-  // must refuse with a typed error that names both versions instead of
-  // silently resuming against a stale fingerprint.
-  const std::string path = TempPath("schema_v1");
-  WriteFile(path,
-            "{\"record\":\"header\",\"schema\":1,\"seed\":\"5\","
-            "\"config\":\"deadbeefdeadbeef\"}\n");
-  try {
-    (void)CheckpointStore::Load(path);
-    FAIL() << "expected CheckpointError";
-  } catch (const CheckpointError& error) {
-    EXPECT_EQ(error.kind(), CheckpointErrorKind::kSchemaVersion);
-    const std::string message = error.what();
-    EXPECT_NE(message.find("schema version 1"), std::string::npos) << message;
-    EXPECT_NE(message.find("this build reads 7"), std::string::npos)
-        << message;
-  }
-  std::remove(path.c_str());
-}
-
-TEST(CheckpointStore, SchemaV2StoreIsRefusedNamingBothVersions) {
-  // Schema 2 predates the run.governor fingerprint line; a v2 store cannot
-  // attest what governor produced its trials, so the load refuses with a
-  // typed error naming both schema versions.
-  const std::string path = TempPath("schema_v2");
-  WriteFile(path,
-            "{\"record\":\"header\",\"schema\":2,\"seed\":\"5\","
-            "\"config\":\"deadbeefdeadbeef\"}\n");
-  try {
-    (void)CheckpointStore::Load(path);
-    FAIL() << "expected CheckpointError";
-  } catch (const CheckpointError& error) {
-    EXPECT_EQ(error.kind(), CheckpointErrorKind::kSchemaVersion);
-    const std::string message = error.what();
-    EXPECT_NE(message.find("schema version 2"), std::string::npos) << message;
-    EXPECT_NE(message.find("this build reads 7"), std::string::npos)
-        << message;
-  }
-  std::remove(path.c_str());
-}
-
-TEST(CheckpointStore, SchemaV3StoreIsRefusedNamingBothVersions) {
-  // Schema 3 predates the run.mode / stream.* fingerprint lines and the
-  // per-trial stream aggregate; a v3 store cannot attest whether its trials
-  // ran fixed-trace or streaming semantics, so the load refuses.
-  const std::string path = TempPath("schema_v3");
-  WriteFile(path,
-            "{\"record\":\"header\",\"schema\":3,\"seed\":\"5\","
-            "\"config\":\"deadbeefdeadbeef\"}\n");
-  try {
-    (void)CheckpointStore::Load(path);
-    FAIL() << "expected CheckpointError";
-  } catch (const CheckpointError& error) {
-    EXPECT_EQ(error.kind(), CheckpointErrorKind::kSchemaVersion);
-    const std::string message = error.what();
-    EXPECT_NE(message.find("schema version 3"), std::string::npos) << message;
-    EXPECT_NE(message.find("this build reads 7"), std::string::npos)
-        << message;
-  }
-  std::remove(path.c_str());
-}
-
-TEST(CheckpointStore, SchemaV4StoreIsRefusedNamingBothVersions) {
-  // Schema 4 predates per-line CRCs, the domain-fault fingerprint lines,
-  // and the migration scalars; salvage must not mistake its crc-less lines
-  // for torn-write damage and destroy a healthy store, so the schema check
-  // outranks the CRC check — strict and salvage loads both refuse.
-  const std::string path = TempPath("schema_v4");
-  WriteFile(path,
-            "{\"record\":\"header\",\"schema\":4,\"seed\":\"5\","
-            "\"config\":\"deadbeefdeadbeef\"}\n");
-  for (const bool salvage : {false, true}) {
-    try {
-      (void)CheckpointStore::Load(path, {.salvage = salvage});
-      FAIL() << "expected CheckpointError (salvage=" << salvage << ")";
-    } catch (const CheckpointError& error) {
-      EXPECT_EQ(error.kind(), CheckpointErrorKind::kSchemaVersion);
-      const std::string message = error.what();
-      EXPECT_NE(message.find("schema version 4"), std::string::npos)
+TEST(CheckpointStore, EveryOtherSchemaVersionIsRefusedNamingBothVersions) {
+  // Each older schema hashes a different fingerprint preimage or lacks
+  // record fields (v2: run.governor; v3: run.mode and the stream block; v4:
+  // CRCs, fault domains; v5: the job block; v6: the econ block), and 99
+  // stands for a newer build. A load must refuse with a typed error naming
+  // both versions instead of resuming against a stale fingerprint. Stores
+  // before v5 carry no CRCs: the schema check outranks the CRC check, so
+  // salvage refuses too and leaves the file untouched.
+  const std::pair<unsigned, bool> versions[] = {
+      {1, false}, {2, false}, {3, false}, {4, false},
+      {5, true},  {6, true},  {99, false}};
+  for (const auto& [version, sealed] : versions) {
+    SCOPED_TRACE("schema " + std::to_string(version));
+    const std::string path = TempPath("schema_v" + std::to_string(version));
+    const std::string header = "{\"record\":\"header\",\"schema\":" +
+                               std::to_string(version) +
+                               ",\"seed\":\"5\",\"config\":"
+                               "\"deadbeefdeadbeef\"}";
+    const std::string content = (sealed ? Sealed(header) : header) + "\n";
+    WriteFile(path, content);
+    for (const bool salvage : {false, true}) {
+      std::string message;
+      EXPECT_EQ(LoadErrorKind(path, {.salvage = salvage}, &message),
+                CheckpointErrorKind::kSchemaVersion)
+          << "salvage=" << salvage;
+      EXPECT_NE(message.find("schema version " + std::to_string(version)),
+                std::string::npos)
           << message;
       EXPECT_NE(message.find("this build reads 7"), std::string::npos)
           << message;
     }
+    // Salvage never truncates a logical refusal.
+    EXPECT_EQ(ReadFile(path), content);
+    std::remove(path.c_str());
   }
-  // The refused file is untouched: salvage never truncates a logical refusal.
-  EXPECT_NE(ReadFile(path).find("\"schema\":4"), std::string::npos);
-  std::remove(path.c_str());
-}
-
-TEST(CheckpointStore, SchemaV5StoreIsRefusedNamingBothVersions) {
-  // Schema 5 predates the job block (env.workload.jobs.*, run.jobs.placement)
-  // in the fingerprint preimage and the per-trial "jobs" aggregate; a v5
-  // store cannot attest whether gang jobs shaped its trials, so both strict
-  // and salvage loads refuse.
-  const std::string path = TempPath("schema_v5");
-  WriteFile(path, Sealed("{\"record\":\"header\",\"schema\":5,\"seed\":\"5\","
-                         "\"config\":\"deadbeefdeadbeef\"}") +
-                      "\n");
-  for (const bool salvage : {false, true}) {
-    try {
-      (void)CheckpointStore::Load(path, {.salvage = salvage});
-      FAIL() << "expected CheckpointError (salvage=" << salvage << ")";
-    } catch (const CheckpointError& error) {
-      EXPECT_EQ(error.kind(), CheckpointErrorKind::kSchemaVersion);
-      const std::string message = error.what();
-      EXPECT_NE(message.find("schema version 5"), std::string::npos)
-          << message;
-      EXPECT_NE(message.find("this build reads 7"), std::string::npos)
-          << message;
-    }
-  }
-  EXPECT_NE(ReadFile(path).find("\"schema\":5"), std::string::npos);
-  std::remove(path.c_str());
-}
-
-TEST(CheckpointStore, SchemaV6StoreIsRefusedNamingBothVersions) {
-  // Schema 6 predates the econ block (env.econ.*, run.econ.*) in the
-  // fingerprint preimage and the per-trial "econ" aggregate; a v6 store
-  // cannot attest whether value-aware policies shaped its trials, so both
-  // strict and salvage loads refuse.
-  const std::string path = TempPath("schema_v6");
-  WriteFile(path, Sealed("{\"record\":\"header\",\"schema\":6,\"seed\":\"5\","
-                         "\"config\":\"deadbeefdeadbeef\"}") +
-                      "\n");
-  for (const bool salvage : {false, true}) {
-    try {
-      (void)CheckpointStore::Load(path, {.salvage = salvage});
-      FAIL() << "expected CheckpointError (salvage=" << salvage << ")";
-    } catch (const CheckpointError& error) {
-      EXPECT_EQ(error.kind(), CheckpointErrorKind::kSchemaVersion);
-      const std::string message = error.what();
-      EXPECT_NE(message.find("schema version 6"), std::string::npos)
-          << message;
-      EXPECT_NE(message.find("this build reads 7"), std::string::npos)
-          << message;
-    }
-  }
-  EXPECT_NE(ReadFile(path).find("\"schema\":6"), std::string::npos);
-  std::remove(path.c_str());
 }
 
 TEST(CheckpointStore, MalformedInteriorRecordIsTyped) {
   const std::string path = TempPath("bad_record");
   WriteFile(path, ValidHeaderLine() + "{not json}\n");
-  try {
-    (void)CheckpointStore::Load(path);
-    FAIL() << "expected CheckpointError";
-  } catch (const CheckpointError& error) {
-    EXPECT_EQ(error.kind(), CheckpointErrorKind::kBadRecord);
-  }
+  EXPECT_EQ(LoadErrorKind(path), CheckpointErrorKind::kBadRecord);
   std::remove(path.c_str());
 }
 
 TEST(CheckpointStore, MissingHeaderAndMissingFileAreTyped) {
   const std::string path = TempPath("no_header");
   WriteFile(path, "{\"record\":\"trial\"}\n");
-  try {
-    (void)CheckpointStore::Load(path);
-    FAIL() << "expected CheckpointError";
-  } catch (const CheckpointError& error) {
-    EXPECT_EQ(error.kind(), CheckpointErrorKind::kBadHeader);
-  }
+  EXPECT_EQ(LoadErrorKind(path), CheckpointErrorKind::kBadHeader);
   std::remove(path.c_str());
-  try {
-    (void)CheckpointStore::Load(TempPath("does_not_exist"));
-    FAIL() << "expected CheckpointError";
-  } catch (const CheckpointError& error) {
-    EXPECT_EQ(error.kind(), CheckpointErrorKind::kIo);
-  }
+  EXPECT_EQ(LoadErrorKind(TempPath("does_not_exist")),
+            CheckpointErrorKind::kIo);
 }
 
 // ---------------------------------------------------------------------------
@@ -475,12 +401,7 @@ TEST(CheckpointSalvage, TruncatedMidRecordRefusedStrictHealedBySalvage) {
   const std::string path = TempPath("salvage_torn_tail");
   WriteStore(path, 2);
   WriteFile(path, ReadFile(path) + "{\"record\":\"trial\",\"heuristic\":\"SQ");
-  try {
-    (void)CheckpointStore::Load(path);
-    FAIL() << "expected CheckpointError";
-  } catch (const CheckpointError& error) {
-    EXPECT_EQ(error.kind(), CheckpointErrorKind::kTruncatedRecord);
-  }
+  EXPECT_EQ(LoadErrorKind(path), CheckpointErrorKind::kTruncatedRecord);
   const CheckpointStore store = CheckpointStore::Load(path, {.salvage = true});
   EXPECT_TRUE(store.header_valid());
   EXPECT_EQ(store.size(), 2u);
@@ -507,12 +428,8 @@ TEST(CheckpointSalvage, CorruptedCrcRefusedStrictHealedBySalvage) {
 
   // Strict refuses even with the partial-tail allowance: flipped bits are
   // not a torn tail.
-  try {
-    (void)CheckpointStore::Load(path, {.allow_partial_tail = true});
-    FAIL() << "expected CheckpointError";
-  } catch (const CheckpointError& error) {
-    EXPECT_EQ(error.kind(), CheckpointErrorKind::kCrcMismatch);
-  }
+  EXPECT_EQ(LoadErrorKind(path, {.allow_partial_tail = true}),
+            CheckpointErrorKind::kCrcMismatch);
   // Salvage keeps everything before the damage; the good record *after* the
   // damage is gone too (append-only files have no trustworthy frame resync)
   // and is counted so the caller can say how many trials re-run.
@@ -527,12 +444,8 @@ TEST(CheckpointSalvage, CorruptedCrcRefusedStrictHealedBySalvage) {
 TEST(CheckpointSalvage, TornHeaderRefusedStrictRecreatedAfterSalvage) {
   const std::string path = TempPath("salvage_torn_header");
   WriteFile(path, "{\"record\":\"head");  // header write cut by a crash
-  try {
-    (void)CheckpointStore::Load(path, {.allow_partial_tail = true});
-    FAIL() << "expected CheckpointError";
-  } catch (const CheckpointError& error) {
-    EXPECT_EQ(error.kind(), CheckpointErrorKind::kBadHeader);
-  }
+  EXPECT_EQ(LoadErrorKind(path, {.allow_partial_tail = true}),
+            CheckpointErrorKind::kBadHeader);
   const CheckpointStore store = CheckpointStore::Load(path, {.salvage = true});
   EXPECT_FALSE(store.header_valid());
   EXPECT_EQ(store.size(), 0u);
@@ -548,12 +461,8 @@ TEST(CheckpointSalvage, BlankTailLineRefusedStrictHealedBySalvage) {
   WriteStore(path, 1);
   WriteFile(path, ReadFile(path) + "\n");  // committed blank line
   for (const bool allow_partial : {false, true}) {
-    try {
-      (void)CheckpointStore::Load(path, {.allow_partial_tail = allow_partial});
-      FAIL() << "expected CheckpointError";
-    } catch (const CheckpointError& error) {
-      EXPECT_EQ(error.kind(), CheckpointErrorKind::kBadRecord);
-    }
+    EXPECT_EQ(LoadErrorKind(path, {.allow_partial_tail = allow_partial}),
+              CheckpointErrorKind::kBadRecord);
   }
   const CheckpointStore store = CheckpointStore::Load(path, {.salvage = true});
   EXPECT_TRUE(store.header_valid());
@@ -573,12 +482,9 @@ TEST(CheckpointSalvage, CrcValidButSemanticallyBadRecordIsNeverSalvaged) {
                              "\"filter\":\"en\",\"trial\":0,\"result\":{}}") +
                       "\n");
   for (const bool salvage : {false, true}) {
-    try {
-      (void)CheckpointStore::Load(path, {.salvage = salvage});
-      FAIL() << "expected CheckpointError (salvage=" << salvage << ")";
-    } catch (const CheckpointError& error) {
-      EXPECT_EQ(error.kind(), CheckpointErrorKind::kBadRecord);
-    }
+    EXPECT_EQ(LoadErrorKind(path, {.salvage = salvage}),
+              CheckpointErrorKind::kBadRecord)
+        << "salvage=" << salvage;
   }
   std::remove(path.c_str());
 }
@@ -650,7 +556,7 @@ TEST(Resume, InterruptedSweepResumesBitIdentical) {
   EXPECT_EQ(resumed.trials_resumed, 3u);
   ASSERT_EQ(resumed.results.size(), 6u);
   for (std::size_t i = 0; i < 6; ++i) {
-    ExpectBitIdentical(reference.results[i], resumed.results[i]);
+    test::ExpectSameResult(reference.results[i], resumed.results[i]);
   }
 
   // The checkpoint now holds all six trials; a further resume re-runs none.
@@ -661,7 +567,7 @@ TEST(Resume, InterruptedSweepResumesBitIdentical) {
                                              all_resumed);
   EXPECT_EQ(nothing_to_do.trials_resumed, 6u);
   for (std::size_t i = 0; i < 6; ++i) {
-    ExpectBitIdentical(reference.results[i], nothing_to_do.results[i]);
+    test::ExpectSameResult(reference.results[i], nothing_to_do.results[i]);
   }
   std::remove(path.c_str());
 }
@@ -705,7 +611,7 @@ TEST(Resume, SalvagedResumeIsBitIdenticalToUninterrupted) {
   EXPECT_EQ(resumed.trials_resumed, 5u);
   ASSERT_EQ(resumed.results.size(), 6u);
   for (std::size_t i = 0; i < 6; ++i) {
-    ExpectBitIdentical(reference.results[i], resumed.results[i]);
+    test::ExpectSameResult(reference.results[i], resumed.results[i]);
   }
   // The healed checkpoint is whole again: a strict load serves all six.
   EXPECT_EQ(CheckpointStore::Load(path).size(), 6u);
@@ -727,12 +633,9 @@ TEST(Resume, RefusesStoreFromDifferentConfig) {
   RunOptions resume_options;
   resume_options.num_trials = 2;
   resume_options.resume = &store;
-  try {
-    (void)RunSweep(setup, "SQ", "en+rob", resume_options);
-    FAIL() << "expected CheckpointError";
-  } catch (const CheckpointError& error) {
-    EXPECT_EQ(error.kind(), CheckpointErrorKind::kConfigMismatch);
-  }
+  EXPECT_EQ(
+      ErrorKind([&] { (void)RunSweep(setup, "SQ", "en+rob", resume_options); }),
+      CheckpointErrorKind::kConfigMismatch);
   std::remove(path.c_str());
 }
 
@@ -742,12 +645,8 @@ TEST(Resume, CheckpointingRejectsPerTaskCollection) {
   options.num_trials = 1;
   options.checkpoint_path = TempPath("records_reject");
   options.collect_task_records = true;
-  try {
-    (void)RunSweep(setup, "SQ", "en+rob", options);
-    FAIL() << "expected CheckpointError";
-  } catch (const CheckpointError& error) {
-    EXPECT_EQ(error.kind(), CheckpointErrorKind::kUnsupportedOptions);
-  }
+  EXPECT_EQ(ErrorKind([&] { (void)RunSweep(setup, "SQ", "en+rob", options); }),
+            CheckpointErrorKind::kUnsupportedOptions);
 }
 
 }  // namespace

@@ -42,23 +42,45 @@ std::string TempPath(const std::string& name) {
 }
 
 TEST(Cli, UnknownPolicyNamesListValidChoices) {
-  // Deleted policies (race-to-idle, deadline-aware, migrate) fail like any
-  // other unknown name, from a flag or from a spec file.
-  const std::string spec_path = TempPath("unknown_policy");
-  const std::string write = std::string(ECDRA_CLI_PATH) + " --print-spec > " +
-                            spec_path +
-                            " && echo 'run.recovery = migrate' >> " +
-                            spec_path;
-  ASSERT_EQ(std::system(write.c_str()), 0) << write;
+  // Deleted policies (race-to-idle, deadline-aware, migrate) and unknown
+  // names fail alike, from a flag or from a spec file, before any trial
+  // runs; a name no run would use (placement without --jobs) fails too.
+  const auto spec_with = [](const std::string& name, const std::string& line) {
+    const std::string path = TempPath(name);
+    const std::string write = std::string(ECDRA_CLI_PATH) +
+                              " --print-spec > " + path + " && echo '" +
+                              line + "' >> " + path;
+    EXPECT_EQ(std::system(write.c_str()), 0) << write;
+    return path;
+  };
+  const std::string specs[] = {
+      spec_with("unknown_recovery", "run.recovery = migrate"),
+      spec_with("unknown_governor", "run.governor = race-to-idle"),
+      spec_with("unknown_admission", "stream.admission = nosuch"),
+      spec_with("unknown_placement", "run.jobs.placement = nosuch"),
+  };
+  const std::string governors = "budget-feedback, profit-guard, static";
+  const std::string admissions = "none, rho, value-density";
+  const std::string placements = "pack, serial, spread";
   const struct {
     std::string args;
     std::vector<std::string> expected;
   } cases[] = {
       {"--heuristic BOGUS", {"unknown heuristic 'BOGUS'", "SQ", "Random"}},
-      {"--governor race-to-idle", {"budget-feedback, profit-guard, static"}},
-      {"--governor deadline-aware", {"budget-feedback, profit-guard, static"}},
+      {"--governor race-to-idle", {"run.governor (--governor)", governors}},
+      {"--governor deadline-aware", {governors}},
+      {"--stream --energy-rate 2611.8 --admission nosuch",
+       {"stream.admission (--admission)", admissions}},
+      {"--jobs --gang-policy nosuch",
+       {"run.jobs.placement (--gang-policy)", placements}},
       {"--recovery migrate", {"(valid: drop, requeue)"}},
-      {"--spec " + spec_path, {"(valid: drop, requeue)"}},
+      {"--spec " + specs[0], {"(valid: drop, requeue)"}},
+      {"--spec " + specs[1], {"run.governor (--governor)", governors}},
+      {"--spec " + specs[2] + " --stream --energy-rate 2611.8",
+       {"stream.admission (--admission)", admissions}},
+      {"--spec " + specs[3] + " --jobs",
+       {"run.jobs.placement (--gang-policy)", placements}},
+      {"--spec " + specs[3], {"run.jobs.placement (--gang-policy)"}},
   };
   for (const auto& input : cases) {
     SCOPED_TRACE(input.args);
@@ -69,7 +91,7 @@ TEST(Cli, UnknownPolicyNamesListValidChoices) {
           << result.output;
     }
   }
-  std::remove(spec_path.c_str());
+  for (const std::string& path : specs) std::remove(path.c_str());
 }
 
 TEST(Cli, UnknownVariantListsValidChoices) {

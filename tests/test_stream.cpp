@@ -388,17 +388,6 @@ sim::RunOptions StreamRun(const sim::ExperimentSetup& setup, double scale) {
   return run;
 }
 
-void ExpectSameTrial(const sim::TrialResult& a, const sim::TrialResult& b) {
-  EXPECT_EQ(a.completed, b.completed);
-  EXPECT_EQ(a.missed_deadlines, b.missed_deadlines);
-  EXPECT_EQ(a.discarded, b.discarded);
-  EXPECT_EQ(a.finished_late, b.finished_late);
-  EXPECT_EQ(a.on_time_but_over_budget, b.on_time_but_over_budget);
-  EXPECT_EQ(a.total_energy, b.total_energy);
-  EXPECT_EQ(a.makespan, b.makespan);
-  EXPECT_EQ(a.stream, b.stream);  // StreamStats == is field-exact
-}
-
 TEST(StreamEngine, StreamingTrialIsDeterministic) {
   const sim::ExperimentSetup setup =
       sim::BuildExperimentSetup(7, SmallOptions());
@@ -409,7 +398,7 @@ TEST(StreamEngine, StreamingTrialIsDeterministic) {
       sim::RunSingleTrial(setup, "LL", "en+rob", 0, run);
   EXPECT_TRUE(first.stream.enabled);
   EXPECT_GT(first.stream.windows, 0u);
-  ExpectSameTrial(first, second);
+  test::ExpectSameResult(first, second);
 }
 
 TEST(StreamEngine, TightRateEntersEmergencyAndRecordsTheDeficit) {
@@ -628,7 +617,7 @@ TEST(StreamCheckpoint, ResumeMidStreamIsBitIdentical) {
 
   ASSERT_EQ(resumed.results.size(), uninterrupted.results.size());
   for (std::size_t i = 0; i < resumed.results.size(); ++i) {
-    ExpectSameTrial(resumed.results[i], uninterrupted.results[i]);
+    test::ExpectSameResult(resumed.results[i], uninterrupted.results[i]);
   }
   std::remove(path.c_str());
 }

@@ -2,11 +2,14 @@
 // clusters and pmfs with hand-computable behaviour.
 #pragma once
 
+#include <gtest/gtest.h>
+
 #include <vector>
 
 #include "cluster/cluster.hpp"
 #include "cluster/power_model.hpp"
 #include "pmf/pmf.hpp"
+#include "sim/metrics.hpp"
 
 namespace ecdra::test {
 
@@ -37,6 +40,22 @@ inline cluster::Cluster SingleCoreCluster(double efficiency = 1.0) {
 /// A small two-impulse pmf {(lo, 0.5), (hi, 0.5)}.
 inline pmf::Pmf TwoPoint(double lo, double hi) {
   return pmf::Pmf::FromImpulses({{lo, 0.5}, {hi, 0.5}});
+}
+
+/// EXPECT_EQ on every row of the TrialResult field table (bit-exact
+/// doubles) and on each extension block's enabled flag: every field the
+/// checkpoint record carries, except the counters and the validation report.
+inline void ExpectSameResult(const sim::TrialResult& a,
+                             const sim::TrialResult& b) {
+  for (const sim::ResultField& field : sim::ResultFields()) {
+    EXPECT_EQ(field.get(a), field.get(b))
+        << sim::ResultBlockKey(field.block) << '.' << field.key;
+  }
+  for (const sim::ResultBlock block : sim::kExtensionBlocks) {
+    EXPECT_EQ(sim::ResultBlockEnabled(a, block),
+              sim::ResultBlockEnabled(b, block))
+        << sim::ResultBlockKey(block);
+  }
 }
 
 }  // namespace ecdra::test
