@@ -1,9 +1,12 @@
 #include "pmf/pmf.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <functional>
+#include <limits>
 #include <ostream>
 #include <span>
 #include <sstream>
@@ -45,17 +48,21 @@ struct FoldResult {
 /// Left-folds the total mass and, on the same pass, detects the two defects
 /// a raw sorted cross product can carry: non-positive probabilities
 /// (underflowed products) and exactly-equal adjacent values (FP absorption).
-/// The branch-free checks ride the serial fold chain's idle issue slots, so
-/// the clean common case costs no more than the fold alone. When a defect
-/// is flagged the returned mass is discarded and recomputed post-coalesce.
+/// It also writes gaps[k - 1] = vals[k] - vals[k - 1], the gaps compaction
+/// selects its boundaries from (`gaps` holds n - 1 entries). The branch-free
+/// checks and gap stores ride the serial fold chain's idle issue slots, so
+/// the clean common case costs little more than the fold alone. When a
+/// defect is flagged the returned mass and the gaps are discarded and
+/// recomputed post-coalesce.
 FoldResult FoldAndCheck(const double* vals, const double* probs,
-                        std::size_t n) {
+                        std::size_t n, double* gaps) {
   double mass = probs[0];  // == 0.0 + probs[0] bitwise for positive probs
   unsigned bad = !(probs[0] > 0.0);
   for (std::size_t k = 1; k < n; ++k) {
     mass += probs[k];
     bad |= static_cast<unsigned>(!(probs[k] > 0.0)) |
            static_cast<unsigned>(vals[k - 1] == vals[k]);
+    gaps[k - 1] = vals[k] - vals[k - 1];
   }
   return FoldResult{mass, bad != 0};
 }
@@ -92,29 +99,15 @@ inline void DeepCheck(const Pmf& pmf, const char* op) {
 /// Reusable per-thread buffers for the convolve/compact kernels, so the hot
 /// path performs no heap allocation once warm. Trials are single-threaded
 /// (one engine per thread), matching the obs/validate thread-local pattern.
-/// A support gap and the index it sits at, for boundary selection.
-struct GapIdx {
-  double gap;
-  std::uint32_t index;
-};
-
-/// Min-heap order for boundary selection: the root is the weakest kept
-/// candidate. a outranks b on a larger gap, or on a smaller index at an
-/// equal gap.
-inline bool GapWeaker(const GapIdx& a, const GapIdx& b) {
-  return a.gap < b.gap || (a.gap == b.gap && a.index > b.index);
-}
-inline bool GapStronger(const GapIdx& a, const GapIdx& b) {
-  return GapWeaker(b, a);
-}
-
 struct PmfScratch {
-  std::vector<double> vals;           // cross-product values, sorted ascending
-  std::vector<double> probs;          // matching probabilities
-  std::vector<std::uint32_t> hist;  // bucket counts, then scatter offsets
-  std::vector<Impulse> pairs;         // std::sort fallback workspace
-  std::vector<GapIdx> top_gaps;       // compaction: the keep largest gaps
-  std::vector<std::uint32_t> bounds;  // compaction: run end positions
+  std::vector<double> vals;              // cross-product values, ascending
+  std::vector<double> probs;             // matching probabilities
+  std::vector<std::uint32_t> hist;       // bucket counts, then offsets
+  std::vector<Impulse> pairs;            // std::sort fallback workspace
+  std::vector<double> gaps;              // compaction: vals[k + 1] - vals[k]
+  std::vector<std::uint32_t> survivors;  // compaction: gaps >= the bound
+  std::vector<double> ranked;            // compaction: nth_element workspace
+  std::vector<std::uint32_t> bounds;     // compaction: run ends, ascending
 };
 
 PmfScratch& Scratch() {
@@ -122,43 +115,82 @@ PmfScratch& Scratch() {
   return scratch;
 }
 
-/// FoldAndCheck fused with compaction boundary selection, for the dominant
-/// convolve-then-compact case: the gap stream and bounded min-heap (see
-/// CompactSoA) ride the same pass over vals that the fold and defect checks
-/// already make, instead of re-streaming the arrays afterwards. The heap
-/// sees the exact gap sequence, in the exact order, that the standalone
-/// selection would produce, so the kept boundary set is bit-identical.
-/// Requires 1 <= keep < n - 1; `top` must hold keep entries. If the result
-/// flags needs_coalesce the heap indices refer to pre-coalesce positions
-/// and the caller must discard them and reselect after coalescing.
-FoldResult FoldCheckSelect(const double* vals, const double* probs,
-                           std::size_t n, std::size_t keep, GapIdx* top) {
-  double mass = probs[0];  // == 0.0 + probs[0] bitwise for positive probs
-  unsigned bad = !(probs[0] > 0.0);
-  for (std::size_t k = 1; k <= keep; ++k) {
-    mass += probs[k];
-    bad |= static_cast<unsigned>(!(probs[k] > 0.0)) |
-           static_cast<unsigned>(vals[k - 1] == vals[k]);
-    top[k - 1] = GapIdx{vals[k] - vals[k - 1],
-                        static_cast<std::uint32_t>(k - 1)};
+/// Fills s.gaps from the first n entries of s.vals, for compaction callers
+/// whose values did not come through FoldAndCheck's pass.
+void WriteGaps(PmfScratch& s, std::size_t n) {
+  s.gaps.resize(n);
+  for (std::size_t k = 1; k < n; ++k) s.gaps[k - 1] = s.vals[k] - s.vals[k - 1];
+}
+
+/// Block width of the selection's lower bound. Fixed, so block starts
+/// advance by addition and no index is ever divided.
+constexpr std::size_t kGapBlock = 8;
+
+/// Compaction boundary selection: writes to s.bounds, ascending, the run
+/// ends (index + 1) of the `keep` largest of the m gaps, ties going to the
+/// smaller index. Requires 1 <= keep < m and no NaN gap (the callers refuse
+/// non-finite supports first: std::nth_element needs a strict weak order).
+///
+/// Linear time. The keep-th largest block maximum is a lower bound on the
+/// keep-th largest gap, since keep distinct blocks each hold a gap at least
+/// that large. So the filter `gap >= bound` keeps every selected gap and
+/// every gap tied with the weakest selected one, and typically leaves a few
+/// dozen of a 32-impulse compaction's hundreds of candidates. Among those
+/// survivors nth_element finds the threshold (the keep-th largest gap), and
+/// one walk in index order takes each gap above it and the first ties at it.
+void SelectBoundaries(const double* gaps, std::size_t m, std::size_t keep,
+                      PmfScratch& s) {
+  double bound = -std::numeric_limits<double>::infinity();
+  const std::size_t blocks = (m + kGapBlock - 1) / kGapBlock;
+  if (blocks >= keep) {
+    s.ranked.resize(blocks);
+    double* const maxima = s.ranked.data();
+    std::size_t b = 0;
+    for (std::size_t start = 0; start < m; start += kGapBlock) {
+      const std::size_t end = std::min(start + kGapBlock, m);
+      double block_max = gaps[start];
+      for (std::size_t k = start + 1; k < end; ++k) {
+        block_max = std::max(block_max, gaps[k]);
+      }
+      maxima[b++] = block_max;
+    }
+    std::nth_element(maxima, maxima + (keep - 1), maxima + blocks,
+                     std::greater<>());
+    bound = maxima[keep - 1];
   }
-  std::make_heap(top, top + keep, GapStronger);
-  // The root (weakest kept gap) is cached in locals so the hot compare does
-  // not reload it through memory on every iteration.
-  GapIdx root = top[0];
-  for (std::size_t k = keep + 1; k < n; ++k) {
-    mass += probs[k];
-    bad |= static_cast<unsigned>(!(probs[k] > 0.0)) |
-           static_cast<unsigned>(vals[k - 1] == vals[k]);
-    const GapIdx g{vals[k] - vals[k - 1], static_cast<std::uint32_t>(k - 1)};
-    if (GapWeaker(root, g)) [[unlikely]] {
-      std::pop_heap(top, top + keep, GapStronger);
-      top[keep - 1] = g;
-      std::push_heap(top, top + keep, GapStronger);
-      root = top[0];
+
+  // Branch-free filter: every index is written, and kept by advancing.
+  s.survivors.resize(m);
+  std::uint32_t* const survivors = s.survivors.data();
+  std::size_t count = 0;
+  for (std::size_t k = 0; k < m; ++k) {
+    survivors[count] = static_cast<std::uint32_t>(k);
+    count += static_cast<std::size_t>(gaps[k] >= bound);
+  }
+  s.ranked.resize(count);
+  double* const ranked = s.ranked.data();
+  for (std::size_t i = 0; i < count; ++i) ranked[i] = gaps[survivors[i]];
+  std::nth_element(ranked, ranked + (keep - 1), ranked + count,
+                   std::greater<>());
+  const double threshold = ranked[keep - 1];
+  std::size_t above = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    above += static_cast<std::size_t>(ranked[i] > threshold);
+  }
+  std::size_t ties = keep - above;
+  s.bounds.resize(keep);
+  std::uint32_t* const bounds = s.bounds.data();
+  std::size_t w = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    const double gap = gaps[survivors[i]];
+    if (gap > threshold) {
+      bounds[w++] = survivors[i] + 1;
+    } else if (gap == threshold && ties > 0) {
+      --ties;
+      bounds[w++] = survivors[i] + 1;
     }
   }
-  return FoldResult{mass, bad != 0};
+  ECDRA_ASSERT(w == keep, "boundary selection lost a gap");
 }
 
 /// Per-bucket occupancy bound for the distribution sort below: past this,
@@ -169,6 +201,13 @@ constexpr std::uint32_t kBucketSkewLimit = 32;
 /// The fused convolution front half: lays the |X|·|Y| cross product
 /// {x_i + y_j, p_i·q_j} into s.vals / s.probs in ascending value order and
 /// returns its size (uncoalesced; zero-probability underflows kept).
+///
+/// With kTrackOrder the payload carried beside each value is not its
+/// probability but its (i, j) index pair, packed as i << 8 | j into
+/// `order` (CrossOrder's storage; the caller guarantees i, j < 256 and n
+/// entries of room). The order is only trusted when the stable bucket pass
+/// produced it, so that mode returns 0 instead of taking the std::sort
+/// fallback, whose tie order is unspecified.
 ///
 /// Comparison-sorting the cross product dominated the old kernel, and a
 /// heap-based k-way merge of the |X| sorted runs is latency-bound on
@@ -185,31 +224,38 @@ constexpr std::uint32_t kBucketSkewLimit = 32;
 /// bit-identical to the old kernel's; the insertion pass uses strict
 /// compares, so exactly-equal sums stay in generation order and their
 /// probabilities left-fold downstream just as the sort-based path did.
+template <bool kTrackOrder>
 std::size_t SortCrossProduct(std::span<const Impulse> xs,
-                             std::span<const Impulse> ys, PmfScratch& s) {
+                             std::span<const Impulse> ys, PmfScratch& s,
+                             std::uint16_t* order) {
   const std::size_t nx = xs.size();
   const std::size_t ny = ys.size();
   const std::size_t n = nx * ny;
   s.vals.resize(n);
-  s.probs.resize(n);
   double* const vals = s.vals.data();
-  double* const probs = s.probs.data();
+  double* probs = nullptr;
+  if constexpr (!kTrackOrder) {
+    s.probs.resize(n);
+    probs = s.probs.data();
+  }
+  // Stores term (i, j) at position pos.
+  const auto put = [&](std::size_t pos, std::size_t i, std::size_t j,
+                       double v) {
+    vals[pos] = v;
+    if constexpr (kTrackOrder) {
+      order[pos] = static_cast<std::uint16_t>(i << 8 | j);
+    } else {
+      probs[pos] = xs[i].prob * ys[j].prob;
+    }
+  };
 
   // Degenerate factor: the cross product is one already-sorted run (FP
   // addition is monotone).
-  if (nx == 1) {
-    const Impulse a = xs[0];
-    for (std::size_t j = 0; j < ny; ++j) {
-      vals[j] = a.value + ys[j].value;
-      probs[j] = a.prob * ys[j].prob;
-    }
-    return n;
-  }
-  if (ny == 1) {
-    const Impulse b = ys[0];
+  if (nx == 1 || ny == 1) {
     for (std::size_t i = 0; i < nx; ++i) {
-      vals[i] = xs[i].value + b.value;
-      probs[i] = xs[i].prob * b.prob;
+      for (std::size_t j = 0; j < ny; ++j) {
+        put(i * ny + j, i, j, xs[i].value + ys[j].value);
+      }
     }
     return n;
   }
@@ -262,52 +308,63 @@ std::size_t SortCrossProduct(std::span<const Impulse> xs,
       // Within a bucket, terms land in generation order.
       for (std::size_t i = 0; i < nx; ++i) {
         const double xv = xs[i].value;
-        const double xp = xs[i].prob;
         for (std::size_t j = 0; j < ny; ++j) {
           const double v = xv + ys[j].value;
           const auto b =
               std::min(static_cast<std::uint32_t>((v - lo) * scale), limit);
-          const std::uint32_t pos = hist[b]++;
-          vals[pos] = v;
-          probs[pos] = xp * ys[j].prob;
+          put(hist[b]++, i, j, v);
         }
       }
       // One insertion pass repairs intra-bucket disorder; strict compares
-      // keep equal values stable.
+      // keep equal values stable. The payload moves with its value.
       for (std::size_t k = 1; k < n; ++k) {
         const double v = vals[k];
         if (v >= vals[k - 1]) continue;
-        const double p = probs[k];
         std::size_t m = k;
-        do {
-          vals[m] = vals[m - 1];
-          probs[m] = probs[m - 1];
-          --m;
-        } while (m > 0 && vals[m - 1] > v);
+        if constexpr (kTrackOrder) {
+          const std::uint16_t e = order[k];
+          do {
+            vals[m] = vals[m - 1];
+            order[m] = order[m - 1];
+            --m;
+          } while (m > 0 && vals[m - 1] > v);
+          order[m] = e;
+        } else {
+          const double p = probs[k];
+          do {
+            vals[m] = vals[m - 1];
+            probs[m] = probs[m - 1];
+            --m;
+          } while (m > 0 && vals[m - 1] > v);
+          probs[m] = p;
+        }
         vals[m] = v;
-        probs[m] = p;
       }
       return n;
     }
   }
-
-  // Fallback for the degenerate / skewed cases above.
-  s.pairs.resize(n);
-  std::size_t idx = 0;
-  for (std::size_t i = 0; i < nx; ++i) {
-    const double xv = xs[i].value;
-    const double xp = xs[i].prob;
-    for (std::size_t j = 0; j < ny; ++j) {
-      s.pairs[idx++] = Impulse{xv + ys[j].value, xp * ys[j].prob};
+  if constexpr (kTrackOrder) {
+    return 0;
+  } else {
+    // Fallback for the degenerate / skewed cases above.
+    s.pairs.resize(n);
+    std::size_t idx = 0;
+    for (std::size_t i = 0; i < nx; ++i) {
+      const double xv = xs[i].value;
+      const double xp = xs[i].prob;
+      for (std::size_t j = 0; j < ny; ++j) {
+        s.pairs[idx++] = Impulse{xv + ys[j].value, xp * ys[j].prob};
+      }
     }
+    std::sort(
+        s.pairs.begin(), s.pairs.end(),
+        [](const Impulse& a, const Impulse& b) { return a.value < b.value; });
+    for (std::size_t k = 0; k < n; ++k) {
+      vals[k] = s.pairs[k].value;
+      probs[k] = s.pairs[k].prob;
+    }
+    return n;
   }
-  std::sort(s.pairs.begin(), s.pairs.end(),
-            [](const Impulse& a, const Impulse& b) { return a.value < b.value; });
-  for (std::size_t k = 0; k < n; ++k) {
-    vals[k] = s.pairs[k].value;
-    probs[k] = s.pairs[k].prob;
-  }
-  return n;
 }
 
 /// Drops non-positive probabilities (products can underflow to zero) and
@@ -330,71 +387,31 @@ std::size_t CoalesceSortedSoA(double* vals, double* probs, std::size_t n) {
 }
 
 /// The shared compaction kernel (see Pmf::Compact for the algorithm): greedy
-/// run merging with the (max_impulses - 1) largest gaps as boundaries. The
-/// caller guarantees n > max_impulses >= 1; `out` is overwritten. All
-/// arithmetic matches the pre-fusion Pmf::Compact exactly, which the golden
-/// paper-grid fixture depends on.
-///
-/// Boundary selection streams the gaps through a bounded min-heap of
-/// (gap, index), ordered ascending by gap and, for equal gaps, descending
-/// by index. The kept set is therefore every gap strictly above the old
-/// nth_element threshold plus the first (by index) ties at it — exactly the
-/// boundaries the old threshold + tie-budget walk chose, without
-/// materializing and re-scanning a gap array. Only the selected set feeds
-/// the arithmetic, so bit-identity is preserved.
-/// The compaction back half: turns the (max_impulses - 1) selected gaps
-/// sitting in Scratch().top_gaps into sorted run boundaries and folds each
-/// run into one impulse, in order. Callers fill top_gaps either via
-/// CompactSoA below or via the fused FoldCheckSelect pass.
-template <bool kNormalize>
-void CompactFromTopGaps(const double* vals, const double* probs,
-                        std::size_t n, std::size_t max_impulses,
-                        ImpulseVec& out, double divisor) {
-  obs::Bump(&obs::Counters::pmf_compactions);
-  out.clear();
-  PmfScratch& s = Scratch();
-  const std::size_t keep = max_impulses - 1;
-  s.bounds.resize(keep);
-  for (std::size_t i = 0; i < keep; ++i) s.bounds[i] = s.top_gaps[i].index + 1;
-  std::sort(s.bounds.begin(), s.bounds.end());
-  out.reserve(max_impulses);
-  std::size_t run_start = 0;
-  for (const std::uint32_t run_end : s.bounds) {
-    out.push_back(
-        MergeRun<kNormalize>(vals, probs, run_start, run_end, divisor));
-    run_start = run_end;
-  }
-  out.push_back(MergeRun<kNormalize>(vals, probs, run_start, n, divisor));
-  ECDRA_ASSERT(out.size() <= max_impulses, "compaction overshot its bound");
-}
-
+/// run merging with the (max_impulses - 1) largest gaps as boundaries, ties
+/// going to the smaller index (SelectBoundaries). The caller guarantees
+/// n > max_impulses >= 1 and, when max_impulses > 1, that s.gaps holds the
+/// n - 1 gaps of vals; `out` is overwritten. The golden paper-grid fixture
+/// depends on this arithmetic bit for bit: the boundary set (ties to the
+/// smaller index), the left-to-right fold of each run, and the division by
+/// `divisor` as each probability is read.
 template <bool kNormalize>
 void CompactSoA(const double* vals, const double* probs, std::size_t n,
                 std::size_t max_impulses, ImpulseVec& out, double divisor) {
-  if (max_impulses == 1) {
-    obs::Bump(&obs::Counters::pmf_compactions);
-    out.clear();
-    out.push_back(MergeRun<kNormalize>(vals, probs, 0, n, divisor));
-    return;
-  }
-
-  PmfScratch& s = Scratch();
-  const std::size_t keep = max_impulses - 1;  // keep < n - 1 == gap count
-  s.top_gaps.resize(keep);
-  GapIdx* const top = s.top_gaps.data();
-  for (std::size_t i = 0; i < keep; ++i) {
-    top[i] = GapIdx{vals[i + 1] - vals[i], static_cast<std::uint32_t>(i)};
-  }
-  std::make_heap(top, top + keep, GapStronger);
-  for (std::size_t i = keep; i + 1 < n; ++i) {
-    const GapIdx g{vals[i + 1] - vals[i], static_cast<std::uint32_t>(i)};
-    if (GapWeaker(top[0], g)) {
-      std::pop_heap(top, top + keep, GapStronger);
-      top[keep - 1] = g;
-      std::push_heap(top, top + keep, GapStronger);
+  obs::Bump(&obs::Counters::pmf_compactions);
+  out.clear();
+  out.reserve(max_impulses);
+  std::size_t run_start = 0;
+  if (max_impulses > 1) {
+    PmfScratch& s = Scratch();
+    SelectBoundaries(s.gaps.data(), n - 1, max_impulses - 1, s);
+    for (const std::uint32_t run_end : s.bounds) {
+      out.push_back(
+          MergeRun<kNormalize>(vals, probs, run_start, run_end, divisor));
+      run_start = run_end;
     }
   }
-  CompactFromTopGaps<kNormalize>(vals, probs, n, max_impulses, out, divisor);
+  out.push_back(MergeRun<kNormalize>(vals, probs, run_start, n, divisor));
+  ECDRA_ASSERT(out.size() <= max_impulses, "compaction overshot its bound");
 }
 
 /// AoS entry point for the cold callers (FromImpulses, Pmf::Compact):
@@ -409,6 +426,7 @@ void CompactInto(const Impulse* in, std::size_t n, std::size_t max_impulses,
     s.vals[i] = in[i].value;
     s.probs[i] = in[i].prob;
   }
+  WriteGaps(s, n);
   CompactSoA<false>(s.vals.data(), s.probs.data(), n, max_impulses, out,
                     /*divisor=*/1.0);
 }
@@ -420,6 +438,42 @@ void AssignSoA(ImpulseVec& out, const double* vals, const double* probs,
   out.clear();
   out.reserve(n);
   for (std::size_t i = 0; i < n; ++i) out.push_back(Impulse{vals[i], probs[i]});
+}
+
+/// The convolution back half, shared by ConvolveInto and the epoch path
+/// (ConvolveTruncatedInto): s.vals / s.probs hold the n raw cross-product
+/// terms in ascending value order. One pass sums the mass, writes the gaps
+/// and checks for non-positive probabilities or equal adjacent values;
+/// products of valid impulse probabilities are positive, so a defect only
+/// appears when floating-point addition collapsed two sums to the same
+/// value — rare enough to pay for a recoalesce + refold. Non-finite values
+/// are refused before any boundary is selected. The compacting path never
+/// materializes normalized probabilities: MergeRun divides each one by the
+/// total mass as it folds, producing the same bits a separate normalization
+/// pass would have stored.
+void FinishConvolution(PmfScratch& s, std::size_t n, std::size_t max_impulses,
+                       ImpulseVec& out) {
+  double* const vals = s.vals.data();
+  double* const probs = s.probs.data();
+  s.gaps.resize(n);
+  FoldResult fold = FoldAndCheck(vals, probs, n, s.gaps.data());
+  if (fold.needs_coalesce) [[unlikely]] {
+    n = CoalesceSortedSoA(vals, probs, n);
+    ECDRA_REQUIRE(n > 0, "pmf needs at least one positive-probability impulse");
+    fold.mass = TotalMassSoA(probs, n);
+    WriteGaps(s, n);  // coalescing moved values
+  }
+  // Values ascend, so the two endpoints being finite bounds every interior
+  // sum; probabilities are products in (0, 1] and cannot overflow.
+  ECDRA_REQUIRE(std::isfinite(vals[0]) && std::isfinite(vals[n - 1]),
+                "pmf impulses must be finite");
+  ECDRA_ASSERT(fold.mass > 0.0, "cannot normalize a zero-mass pmf");
+  if (n <= max_impulses) {
+    for (std::size_t i = 0; i < n; ++i) probs[i] /= fold.mass;
+    AssignSoA(out, vals, probs, n);
+  } else {
+    CompactSoA<true>(vals, probs, n, max_impulses, out, fold.mass);
+  }
 }
 
 /// Restores the strictly-increasing support invariant after an affine value
@@ -632,51 +686,11 @@ void ConvolveInto(const Pmf& x, const Pmf& y, std::size_t max_impulses,
   ECDRA_REQUIRE(max_impulses >= 1, "max_impulses must be at least 1");
   obs::Bump(&obs::Counters::pmf_convolutions);
   PmfScratch& s = Scratch();
-  std::size_t n = SortCrossProduct(x.impulses(), y.impulses(), s);
-  // One pass both sums the mass and checks for non-positive probabilities or
-  // equal adjacent values; products of valid impulse probabilities are
-  // positive, so a defect only appears when floating-point addition collapsed
-  // two sums to the same value — rare enough to pay for a recoalesce + refold.
-  // When the result will be compacted (the dominant case), the same pass
-  // also runs the boundary-selection heap, saving a re-stream of vals.
-  const bool fuse_select = n > max_impulses && max_impulses >= 2;
-  FoldResult fold;
-  if (fuse_select) {
-    s.top_gaps.resize(max_impulses - 1);
-    fold = FoldCheckSelect(s.vals.data(), s.probs.data(), n, max_impulses - 1,
-                           s.top_gaps.data());
-  } else {
-    fold = FoldAndCheck(s.vals.data(), s.probs.data(), n);
-  }
-  bool preselected = fuse_select;
-  if (fold.needs_coalesce) [[unlikely]] {
-    n = CoalesceSortedSoA(s.vals.data(), s.probs.data(), n);
-    ECDRA_REQUIRE(n > 0, "pmf needs at least one positive-probability impulse");
-    fold.mass = TotalMassSoA(s.probs.data(), n);
-    preselected = false;  // coalescing moved values; boundaries are stale
-  }
-  // Values ascend, so the two endpoints being finite bounds every interior
-  // sum; probabilities are products in (0, 1] and cannot overflow.
-  ECDRA_REQUIRE(std::isfinite(s.vals[0]) && std::isfinite(s.vals[n - 1]),
-                "pmf impulses must be finite");
-  ECDRA_ASSERT(fold.mass > 0.0, "cannot normalize a zero-mass pmf");
+  const std::size_t n =
+      SortCrossProduct<false>(x.impulses(), y.impulses(), s, nullptr);
   // All reads of x and y are done; only now touch out, so `out` may alias
-  // either input (suffix-convolution chains rely on this). The compacting
-  // paths never materialize normalized probabilities: MergeRun divides each
-  // one by the total mass as it folds, producing the same bits a separate
-  // normalization pass would have stored.
-  if (n <= max_impulses) {
-    double* const probs = s.probs.data();
-    const double mass = fold.mass;
-    for (std::size_t i = 0; i < n; ++i) probs[i] /= mass;
-    AssignSoA(out.impulses_, s.vals.data(), probs, n);
-  } else if (preselected) {
-    CompactFromTopGaps<true>(s.vals.data(), s.probs.data(), n, max_impulses,
-                             out.impulses_, fold.mass);
-  } else {
-    CompactSoA<true>(s.vals.data(), s.probs.data(), n, max_impulses,
-                     out.impulses_, fold.mass);
-  }
+  // either input (suffix-convolution chains rely on this).
+  FinishConvolution(s, n, max_impulses, out.impulses_);
   DeepCheck(out, "convolve");
 }
 
@@ -684,6 +698,69 @@ Pmf Convolve(const Pmf& x, const Pmf& y, std::size_t max_impulses) {
   Pmf result;
   ConvolveInto(x, y, max_impulses, result);
   return result;
+}
+
+bool CrossOrder::Build(const Pmf& x, const Pmf& y) {
+  entries_.clear();
+  const std::size_t nx = x.size();
+  const std::size_t ny = y.size();
+  if (nx == 0 || ny == 0 || nx > kMaxSide || ny > kMaxSide ||
+      nx * ny > kCapacity) {
+    return false;
+  }
+  entries_.resize(nx * ny);
+  PmfScratch& s = Scratch();
+  const std::size_t n =
+      SortCrossProduct<true>(x.impulses(), y.impulses(), s, entries_.data());
+  // An exact tie leaves the relative order of the two terms to the sort
+  // that happens to run, so only a tie-free order is unique.
+  const double* const vals = s.vals.data();
+  bool unique = n != 0;
+  for (std::size_t k = 1; unique && k < n; ++k) {
+    unique = vals[k - 1] != vals[k];
+  }
+  if (!unique) entries_.clear();
+  return unique;
+}
+
+void ConvolveTruncatedInto(const Pmf& x, const Pmf::TruncationPoint& cut,
+                           const Pmf& y, const CrossOrder& order,
+                           std::size_t max_impulses, Pmf& out) {
+  ECDRA_REQUIRE(!cut.delta_fallback && cut.first < x.size(),
+                "the epoch path needs a cut that keeps an impulse");
+  ECDRA_REQUIRE(order.size() == x.size() * y.size(),
+                "cross order was built for other pmfs");
+  ECDRA_REQUIRE(max_impulses >= 1, "max_impulses must be at least 1");
+  obs::Bump(&obs::Counters::pmf_truncations);
+  obs::Bump(&obs::Counters::pmf_convolutions);
+  const auto xs = x.impulses();
+  const auto ys = y.impulses();
+  // The probabilities TruncateBelowInPlace would store for the surviving
+  // rows; rows below the cut get 0, and their terms are overwritten below.
+  std::array<double, CrossOrder::kMaxSide> row_prob;
+  std::fill(row_prob.begin(), row_prob.begin() + cut.first, 0.0);
+  for (std::size_t r = cut.first; r < xs.size(); ++r) {
+    row_prob[r] = xs[r].prob / cut.retained;
+  }
+  PmfScratch& s = Scratch();
+  s.vals.resize(order.size());
+  s.probs.resize(order.size());
+  double* const vals = s.vals.data();
+  double* const probs = s.probs.data();
+  // Walk the epoch's value order, keeping the surviving rows' terms. The
+  // sequence is exactly the sorted cross product of the truncated pmf
+  // with y: the same sums, the same products, and (tie-free) the only
+  // ascending arrangement of them.
+  std::size_t n = 0;
+  for (const std::uint16_t entry : order.entries()) {
+    const std::size_t r = entry >> 8;
+    const std::size_t c = entry & 0xFFu;
+    vals[n] = xs[r].value + ys[c].value;
+    probs[n] = row_prob[r] * ys[c].prob;
+    n += static_cast<std::size_t>(r >= cut.first);
+  }
+  FinishConvolution(s, n, max_impulses, out.impulses_);
+  DeepCheck(out, "convolve");
 }
 
 void MaxInto(const Pmf& x, const Pmf& y, std::size_t max_impulses, Pmf& out) {
@@ -741,6 +818,7 @@ void MaxInto(const Pmf& x, const Pmf& y, std::size_t max_impulses, Pmf& out) {
     for (std::size_t k = 0; k < n; ++k) probs[k] /= prev_cdf;
     AssignSoA(out.impulses_, s.vals.data(), probs, n);
   } else {
+    WriteGaps(s, n);
     CompactSoA<true>(s.vals.data(), s.probs.data(), n, max_impulses,
                      out.impulses_, prev_cdf);
   }

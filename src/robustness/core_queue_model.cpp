@@ -2,49 +2,85 @@
 
 #include "obs/counters.hpp"
 #include "util/assert.hpp"
+#include "validate/validation.hpp"
 
 namespace ecdra::robustness {
 
+bool CoreQueueModel::MemoHolds(double now) const noexcept {
+  if (cached_fallback_) return cached_now_ == now;
+  // TruncationAt(now) advances past every impulse below `now` and stops at
+  // the first that is not, so it stops at cached_first_ exactly when:
+  const pmf::Impulse* const imp = running_completion_.impulses().data();
+  const std::size_t f = cached_first_;
+  return (f == 0 || imp[f - 1].value < now) && !(imp[f].value < now);
+}
+
+bool CoreQueueModel::UseEpochOrder() const {
+  if (validate::DeepValidator() != nullptr) return false;
+  switch (epoch_order_state_) {
+    case EpochOrder::kNoMiss:
+      epoch_order_state_ = EpochOrder::kOneMiss;
+      return false;
+    case EpochOrder::kOneMiss:
+      epoch_order_state_ =
+          epoch_order_.Build(running_completion_, queued_suffix_)
+              ? EpochOrder::kBuilt
+              : EpochOrder::kUnusable;
+      return epoch_order_state_ == EpochOrder::kBuilt;
+    case EpochOrder::kBuilt:
+      return true;
+    case EpochOrder::kUnusable:
+      return false;
+  }
+  return false;
+}
+
 const pmf::Pmf& CoreQueueModel::ReadyPmf(double now) const {
-  // An idle core's answer, Delta(now), depends on `now` like a fallback cut.
-  const pmf::Pmf::TruncationPoint cut =
-      running_ ? running_completion_.TruncationAt(now)
-               : pmf::Pmf::TruncationPoint{.delta_fallback = true};
-  if (cache_valid_ && cached_first_ == cut.first &&
-      (!cut.delta_fallback || cached_now_ == now)) {
+  if (cache_valid_ && MemoHolds(now)) {
     obs::Bump(&obs::Counters::ready_pmf_hits);
     return cached_ready_;
   }
   obs::Bump(&obs::Counters::ready_pmf_misses);
 
+  // An idle core's answer, Delta(now), depends on `now` like a fallback cut.
+  const pmf::Pmf::TruncationPoint cut =
+      running_ ? running_completion_.TruncationAt(now)
+               : pmf::Pmf::TruncationPoint{.delta_fallback = true};
   if (!running_) {
     ECDRA_ASSERT(queued_.empty(), "queued tasks require a running task");
     cached_ready_ = pmf::Pmf::Delta(now);
+  } else if (!queued_.empty() && !cut.delta_fallback && UseEpochOrder()) {
+    pmf::ConvolveTruncatedInto(running_completion_, cut, queued_suffix_,
+                               epoch_order_, pmf::Pmf::kDefaultMaxImpulses,
+                               cached_ready_);
   } else {
     // §IV-B: completion pmf of the running task with past impulses removed
-    // and the rest renormalized. All in place: scratch_ and cached_ready_
-    // keep their storage, so a cache miss costs zero allocations.
-    scratch_ = running_completion_;
-    scratch_.TruncateBelowInPlace(now);
-    if (queued_.empty()) {
-      cached_ready_ = scratch_;
-    } else {
-      pmf::ConvolveInto(scratch_, queued_suffix_, pmf::Pmf::kDefaultMaxImpulses,
-                        cached_ready_);
+    // and the rest renormalized, convolved with the suffix in place
+    // (ConvolveInto's output may alias its input). cached_ready_ keeps its
+    // storage, so a cache miss costs zero allocations.
+    cached_ready_ = running_completion_;
+    cached_ready_.TruncateBelowInPlace(now);
+    if (!queued_.empty()) {
+      pmf::ConvolveInto(cached_ready_, queued_suffix_,
+                        pmf::Pmf::kDefaultMaxImpulses, cached_ready_);
     }
   }
   cached_first_ = cut.first;
   cached_now_ = now;
+  cached_fallback_ = cut.delta_fallback;
   cache_valid_ = true;
   return cached_ready_;
 }
 
 double CoreQueueModel::ExpectedReadyTime(double now) const {
   if (!running_) return now;
-  scratch_ = *running_->exec;
-  scratch_.ShiftInPlace(start_time_);
-  scratch_.TruncateBelowInPlace(now);
-  return scratch_.Expectation() + queued_mean_sum_;
+  // One working pmf per thread, reused: no per-core copy, and no fresh Pmf
+  // (whose inline buffer is zero-filled on construction) per call.
+  thread_local pmf::Pmf completion;
+  completion = *running_->exec;
+  completion.ShiftInPlace(start_time_);
+  completion.TruncateBelowInPlace(now);
+  return completion.Expectation() + queued_mean_sum_;
 }
 
 void CoreQueueModel::StartTask(const ModeledTask& task, double now) {

@@ -17,16 +17,36 @@
 // (pmf::Pmf::TruncationAt): the same impulses survive and are divided by the
 // same retained mass, summed in the same order. So the memo key is `first`,
 // and any later query whose t_l falls in the same inter-impulse gap is served
-// the stored pmf, bit-identical to a recomputation. Only the Delta(t_l)
-// fallback (nothing or at most kMassTolerance survives) and the idle core
-// depend on t_l itself; there the key also holds the exact t_l. Every
-// mutator drops the memo.
+// the stored pmf, bit-identical to a recomputation. A hit costs O(1): the
+// stored cut f is still the cut at t_l exactly when
+// imp[f-1].value < t_l <= imp[f].value (the left test dropped at f = 0),
+// so no query rescans the support or re-sums the retained mass. Only the
+// Delta(t_l) fallback (nothing or at most kMassTolerance survives) and the
+// idle core depend on t_l itself; there the memo stores that it was a
+// fallback, and a hit needs the exact t_l. Every mutator drops the memo.
+//
+// An epoch is the span between two mutators: the running pmf and the queued
+// suffix are fixed in it, and only the cut moves. The sums r_k + s_j of the
+// cross product do not depend on the cut; only which rows survive and their
+// renormalised probabilities do. So at an epoch's second convolving miss
+// outside the Delta fallback the model sorts the full running × suffix
+// cross product once into its pmf::CrossOrder, and the epoch's later misses
+// walk that order (pmf::ConvolveTruncatedInto) instead of truncating and
+// re-sorting: bit-identical, and with the same op counts. The order's
+// storage is at most 2 KiB, allocated at the core's first build and reused
+// by later epochs; a policy that never asks for ReadyPmf never allocates it.
+// An epoch with a single miss never pays for an order. Two cases keep
+// truncate-then-convolve: an epoch whose cross product holds an exact value
+// tie (the sort's comparison fallback orders ties in an unspecified way),
+// and every query while a deep validator is active, so that
+// `--validate deep` still audits the truncated pmf.
 //
 // Pmf pointers reference the TaskTypeTable (or any equally stable storage)
 // and must outlive the model.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <optional>
 
@@ -86,9 +106,26 @@ class CoreQueueModel {
   void Reset() noexcept;
 
  private:
+  /// Where the epoch stands on its cross-product order.
+  enum class EpochOrder : std::uint8_t {
+    kNoMiss,     // no convolving miss yet
+    kOneMiss,    // one; the next builds the order
+    kBuilt,      // built: misses walk it
+    kUnusable,   // not unique or too large: misses sort as before
+  };
+
   void BuildRunningCompletion();
   void RebuildSuffix();
-  void InvalidateCache() noexcept { cache_valid_ = false; }
+  void InvalidateCache() noexcept {
+    cache_valid_ = false;
+    epoch_order_state_ = EpochOrder::kNoMiss;
+  }
+  /// The memo answers `now` (requires cache_valid_).
+  [[nodiscard]] bool MemoHolds(double now) const noexcept;
+  /// Whether a convolving miss outside the Delta fallback walks the epoch
+  /// order; advances the epoch's state, building the order on its second
+  /// such miss.
+  [[nodiscard]] bool UseEpochOrder() const;
 
   std::optional<ModeledTask> running_;
   double start_time_ = 0.0;
@@ -102,14 +139,14 @@ class CoreQueueModel {
   pmf::Pmf running_completion_;
 
   mutable pmf::Pmf cached_ready_;
-  /// Memo key: the truncation index of running_completion_, plus the exact
-  /// query time when the result depends on it (idle core, Delta fallback).
+  /// Memo key: the truncation index of running_completion_, or, when the
+  /// answer was the Delta fallback or an idle core's, the exact query time.
   mutable std::size_t cached_first_ = 0;
   mutable double cached_now_ = 0.0;
+  mutable bool cached_fallback_ = false;
   mutable bool cache_valid_ = false;
-  /// Reused working pmf for the shift/truncate pipeline, so ReadyPmf and
-  /// ExpectedReadyTime perform no allocation per query.
-  mutable pmf::Pmf scratch_;
+  mutable EpochOrder epoch_order_state_ = EpochOrder::kNoMiss;
+  mutable pmf::CrossOrder epoch_order_;
 };
 
 }  // namespace ecdra::robustness

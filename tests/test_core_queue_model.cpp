@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "obs/counters.hpp"
@@ -307,6 +310,175 @@ TEST(CoreQueueModel, MisuseThrows) {
                std::invalid_argument);
   EXPECT_THROW(core.StartTask(ModeledTask{1, nullptr, 0.0}, 0.0),
                std::invalid_argument);
+}
+
+/// A pmf of n impulses on continuous random values from `start` upward, so
+/// that no two sums of a cross product tie.
+pmf::Pmf RandomSupport(util::RngStream& rng, std::size_t n, double start) {
+  std::vector<pmf::Impulse> impulses;
+  double value = start;
+  for (std::size_t i = 0; i < n; ++i) {
+    value += rng.UniformReal(0.5, 40.0);
+    impulses.push_back({value, rng.UniformReal(0.01, 1.0)});
+  }
+  return pmf::Pmf::FromImpulses(std::move(impulses), n);
+}
+
+/// Pmf-op tallies that the epoch path must reproduce.
+struct OpCounts {
+  std::uint64_t truncations = 0;
+  std::uint64_t convolutions = 0;
+  std::uint64_t compactions = 0;
+  friend bool operator==(const OpCounts&, const OpCounts&) = default;
+};
+
+template <typename Fn>
+OpCounts CountOps(Fn&& fn) {
+  obs::Counters counters;
+  const obs::CountersScope scope(&counters);
+  fn();
+  return {counters.pmf_truncations, counters.pmf_convolutions,
+          counters.pmf_compactions};
+}
+
+TEST(CoreQueueModelEpoch, OrderWalkMatchesTruncateThenConvolveAtEveryCut) {
+  util::RngStream rng(41);
+  for (int trial = 0; trial < 6; ++trial) {
+    const pmf::Pmf running = RandomSupport(rng, 24, 1000.0);
+    pmf::Pmf suffix = RandomSupport(rng, 24, 0.0);
+    if (trial % 2 == 1) suffix = pmf::Convolve(suffix, RandomSupport(rng, 24, 0.0));
+    pmf::CrossOrder order;
+    ASSERT_TRUE(order.Build(running, suffix));
+    ASSERT_EQ(order.size(), running.size() * suffix.size());
+    for (std::size_t first = 0; first < running.size(); ++first) {
+      SCOPED_TRACE(first);
+      const double t = running.impulses()[first].value;
+      const pmf::Pmf::TruncationPoint cut = running.TruncationAt(t);
+      ASSERT_EQ(cut.first, first);
+      if (cut.delta_fallback) continue;
+      pmf::Pmf expected;
+      const OpCounts expected_ops = CountOps([&] {
+        pmf::Pmf truncated = running;
+        truncated.TruncateBelowInPlace(t);
+        pmf::ConvolveInto(truncated, suffix, pmf::Pmf::kDefaultMaxImpulses,
+                          expected);
+      });
+      pmf::Pmf actual;
+      const OpCounts actual_ops = CountOps([&] {
+        pmf::ConvolveTruncatedInto(running, cut, suffix, order,
+                                   pmf::Pmf::kDefaultMaxImpulses, actual);
+      });
+      ExpectBitIdentical(actual, expected);
+      EXPECT_TRUE(actual_ops == expected_ops);
+    }
+  }
+}
+
+TEST(CoreQueueModelEpoch, AnExactTieKeepsTheSortAndStillMatches) {
+  // 10 + 11 == 20 + 1: the full cross product holds an exact tie, so no
+  // order is built, and every miss of the epoch sorts as before.
+  const pmf::Pmf running = pmf::Pmf::FromImpulses(
+      {{10.0, 0.1}, {20.0, 0.2}, {30.0, 0.3}, {40.0, 0.25}, {55.0, 0.15}});
+  const pmf::Pmf queued =
+      pmf::Pmf::FromImpulses({{1.0, 0.3}, {11.0, 0.3}, {25.0, 0.4}});
+  pmf::CrossOrder order;
+  EXPECT_FALSE(order.Build(running, queued));
+  EXPECT_EQ(order.size(), 0u);
+
+  CoreQueueModel core;
+  core.StartTask(ModeledTask{0, &running, 100.0}, 0.0);
+  core.Enqueue(ModeledTask{1, &queued, 100.0});
+  for (const double now : {5.0, 15.0, 25.0, 35.0, 45.0, 12.0, 50.0}) {
+    CoreQueueModel fresh;
+    fresh.StartTask(ModeledTask{0, &running, 100.0}, 0.0);
+    fresh.Enqueue(ModeledTask{1, &queued, 100.0});
+    ExpectBitIdentical(core.ReadyPmf(now), fresh.ReadyPmf(now));
+  }
+}
+
+TEST(CoreQueueModelEpoch, ReadyPmfMatchesAFreshModelAfterEveryMutator) {
+  // After each mutator, query at every impulse of the running pmf, exactly
+  // and one ulp either side, forwards and then backwards in time, past the
+  // support (the Delta fallback), and on the idle core. Every answer must
+  // equal what a model that replays the mutators and is queried once says.
+  util::RngStream rng(43);
+  std::vector<pmf::Pmf> execs;
+  for (int i = 0; i < 5; ++i) execs.push_back(RandomSupport(rng, 24, 0.0));
+  // At most 1e-12 survives past 20: the tolerance fallback (retained mass
+  // at most kMassTolerance) for any query in (10, 20].
+  execs.push_back(pmf::Pmf::FromImpulses({{10.0, 1.0 - 1e-12}, {20.0, 1e-12}}));
+  const auto task = [&](std::size_t i) {
+    return ModeledTask{i, &execs[i], 1e9};
+  };
+  using Step = std::function<void(CoreQueueModel&)>;
+  const std::vector<std::pair<const char*, Step>> script = {
+      {"StartTask", [&](CoreQueueModel& c) { c.StartTask(task(0), 50.0); }},
+      {"Enqueue", [&](CoreQueueModel& c) { c.Enqueue(task(1)); }},
+      {"Enqueue", [&](CoreQueueModel& c) { c.Enqueue(task(2)); }},
+      {"Enqueue", [&](CoreQueueModel& c) { c.Enqueue(task(3)); }},
+      {"FinishRunning+StartNext",
+       [&](CoreQueueModel& c) {
+         c.FinishRunning();
+         c.StartNext(400.0);
+       }},
+      {"FinishRunning+DropNext+StartNext",
+       [&](CoreQueueModel& c) {
+         c.FinishRunning();
+         c.DropNext();
+         c.StartNext(800.0);
+       }},
+      {"Enqueue", [&](CoreQueueModel& c) { c.Enqueue(task(4)); }},
+      {"Reset", [&](CoreQueueModel& c) { c.Reset(); }},
+      {"StartTask(sliver)",
+       [&](CoreQueueModel& c) { c.StartTask(task(5), 0.0); }},
+      {"Enqueue", [&](CoreQueueModel& c) { c.Enqueue(task(1)); }},
+      {"FinishRunning+StartNext",
+       [&](CoreQueueModel& c) {
+         c.FinishRunning();
+         c.StartNext(30.0);
+       }},
+      {"FinishRunning", [&](CoreQueueModel& c) { c.FinishRunning(); }},
+  };
+  CoreQueueModel core;
+  std::vector<Step> log;
+  for (const auto& [name, step] : script) {
+    SCOPED_TRACE(name);
+    step(core);
+    log.push_back(step);
+    std::vector<double> times;
+    if (core.running()) {
+      // The running task's completion support, as the model shifts it.
+      const pmf::Pmf completion =
+          core.running()->exec->Shift(core.running_start());
+      for (const pmf::Impulse& imp : completion.impulses()) {
+        times.push_back(std::nextafter(imp.value, -1e300));
+        times.push_back(imp.value);
+        times.push_back(std::nextafter(imp.value, 1e300));
+      }
+      times.push_back(completion.Max() + 5.0);  // nothing survives
+      times.push_back(completion.Max() + 7.0);
+    } else {
+      times = {0.0, 12.5, 12.5, 3.0};
+    }
+    // Forwards, then backwards in time.
+    std::vector<double> sweep = times;
+    sweep.insert(sweep.end(), times.rbegin(), times.rend());
+    if (core.running() && core.running()->exec == &execs[5]) {
+      for (const double t : {10.5, 15.0, 20.0, 15.0}) {
+        sweep.push_back(core.running_start() + t);
+      }
+    }
+    for (const double now : sweep) {
+      CoreQueueModel fresh;
+      for (const Step& replay : log) replay(fresh);
+      const pmf::Pmf& served = core.ReadyPmf(now);
+      ExpectBitIdentical(served, fresh.ReadyPmf(now));
+      if (::testing::Test::HasFailure()) {
+        ADD_FAILURE() << "first mismatch at now=" << now;
+        return;
+      }
+    }
+  }
 }
 
 class RandomizedQueueModel : public ::testing::TestWithParam<std::uint64_t> {};

@@ -1,7 +1,12 @@
 #include "pmf/pmf.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
+#include <optional>
 #include <sstream>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -382,6 +387,203 @@ TEST(Convolve, KWayMergeMatchesSortBasedCrossProduct) {
     const Pmf via_sort = Pmf::FromImpulses(std::move(cross), 32);
     EXPECT_EQ(Convolve(x, y, 32), via_sort);
   }
+}
+
+/// Test-local reference for the compaction kernel, written the slow and
+/// obvious way: the boundaries are the first keep = max_impulses - 1
+/// entries of a full (gap desc, index asc) sort of the gaps, and each run
+/// between them folds into one impulse at its probability-weighted mean.
+/// With `divisor` set, each probability is divided by it as it is read
+/// (the convolution's normalization); without, it is used as stored.
+std::vector<Impulse> ReferenceCompact(const std::vector<Impulse>& sorted,
+                                      std::size_t max_impulses,
+                                      std::optional<double> divisor) {
+  const auto prob = [&](std::size_t i) {
+    return divisor ? sorted[i].prob / *divisor : sorted[i].prob;
+  };
+  std::vector<Impulse> out;
+  if (sorted.size() <= max_impulses) {
+    for (std::size_t i = 0; i < sorted.size(); ++i) {
+      out.push_back(Impulse{sorted[i].value, prob(i)});
+    }
+    return out;
+  }
+  std::vector<std::size_t> by_gap(sorted.size() - 1);
+  std::iota(by_gap.begin(), by_gap.end(), std::size_t{0});
+  const auto gap = [&](std::size_t i) {
+    return sorted[i + 1].value - sorted[i].value;
+  };
+  std::sort(by_gap.begin(), by_gap.end(), [&](std::size_t a, std::size_t b) {
+    return gap(a) > gap(b) || (gap(a) == gap(b) && a < b);
+  });
+  std::vector<std::size_t> run_ends(by_gap.begin(),
+                                    by_gap.begin() + (max_impulses - 1));
+  for (std::size_t& end : run_ends) ++end;
+  std::sort(run_ends.begin(), run_ends.end());
+  run_ends.push_back(sorted.size());
+  std::size_t start = 0;
+  for (const std::size_t end : run_ends) {
+    double mass = 0.0;
+    double weighted = 0.0;
+    for (std::size_t i = start; i < end; ++i) {
+      mass += prob(i);
+      weighted += prob(i) * sorted[i].value;
+    }
+    out.push_back(Impulse{weighted / mass, mass});
+    start = end;
+  }
+  return out;
+}
+
+/// Reference convolution: the cross product in generation order, a naive
+/// stable insertion sort by value, the coalescing rules (drop non-positive
+/// probabilities, left-fold exactly-equal values), a left-folded mass, then
+/// ReferenceCompact with that mass as the divisor.
+Pmf ReferenceConvolve(const Pmf& x, const Pmf& y, std::size_t max_impulses) {
+  std::vector<Impulse> terms;
+  for (const Impulse& xi : x.impulses()) {
+    for (const Impulse& yj : y.impulses()) {
+      terms.push_back(Impulse{xi.value + yj.value, xi.prob * yj.prob});
+    }
+  }
+  for (std::size_t k = 1; k < terms.size(); ++k) {
+    for (std::size_t m = k; m > 0 && terms[m - 1].value > terms[m].value; --m) {
+      std::swap(terms[m - 1], terms[m]);
+    }
+  }
+  std::vector<Impulse> merged;
+  for (const Impulse& term : terms) {
+    if (term.prob <= 0.0) continue;
+    if (!merged.empty() && merged.back().value == term.value) {
+      merged.back().prob += term.prob;
+    } else {
+      merged.push_back(term);
+    }
+  }
+  double mass = 0.0;
+  for (const Impulse& imp : merged) mass += imp.prob;
+  return Pmf::FromRawUnchecked(ReferenceCompact(merged, max_impulses, mass));
+}
+
+/// A pmf on exactly the given support, with random probabilities.
+Pmf OnSupport(util::RngStream& rng, const std::vector<double>& values) {
+  std::vector<Impulse> impulses;
+  for (const double v : values) {
+    impulses.push_back(Impulse{v, rng.UniformReal(0.01, 1.0)});
+  }
+  return Pmf::FromImpulses(std::move(impulses), values.size());
+}
+
+TEST(Convolve, MatchesTheReferenceOnRandomSupports) {
+  util::RngStream rng(2024);
+  const std::vector<std::pair<std::size_t, std::size_t>> shapes = {
+      {24, 24}, {24, 32}, {32, 32}, {9, 13}, {14, 32}, {2, 40}};
+  for (const auto& [nx, ny] : shapes) {
+    for (const std::size_t k : {2u, 4u, 17u, 32u}) {
+      for (int trial = 0; trial < 4; ++trial) {
+        const Pmf x = RandomPmf(rng, nx);
+        const Pmf y = RandomPmf(rng, ny);
+        EXPECT_EQ(Convolve(x, y, k), ReferenceConvolve(x, y, k))
+            << nx << "x" << ny << " k=" << k;
+      }
+    }
+  }
+}
+
+TEST(Convolve, MatchesTheReferenceWhenEveryGapTies) {
+  // x = {0..23}, y = {0, 24, ..., 744}: the 768 sums are the integers
+  // 0..767, so every gap is exactly 1 and selection is all tie-breaking.
+  util::RngStream rng(11);
+  std::vector<double> xv;
+  std::vector<double> yv;
+  for (int i = 0; i < 24; ++i) xv.push_back(i);
+  for (int j = 0; j < 32; ++j) yv.push_back(24.0 * j);
+  const Pmf x = OnSupport(rng, xv);
+  const Pmf y = OnSupport(rng, yv);
+  for (const std::size_t k : {2u, 5u, 32u, 100u}) {
+    EXPECT_EQ(Convolve(x, y, k), ReferenceConvolve(x, y, k)) << "k=" << k;
+  }
+}
+
+TEST(Convolve, MatchesTheReferenceOnTwoHeavyTails) {
+  // Geometrically spaced supports on both sides of zero: the gaps grow
+  // toward both ends, so the largest gaps sit in the first and last blocks.
+  util::RngStream rng(12);
+  std::vector<double> xv;
+  std::vector<double> yv;
+  for (int i = 0; i < 12; ++i) {
+    xv.push_back(std::pow(1.6, i));
+    xv.push_back(-std::pow(1.5, i) - 0.25);
+    yv.push_back(3.0 * std::pow(1.45, i));
+    yv.push_back(-2.0 * std::pow(1.55, i) - 0.125);
+  }
+  const Pmf x = OnSupport(rng, xv);
+  const Pmf y = OnSupport(rng, yv);
+  for (const std::size_t k : {2u, 8u, 32u}) {
+    EXPECT_EQ(Convolve(x, y, k), ReferenceConvolve(x, y, k)) << "k=" << k;
+  }
+}
+
+TEST(Convolve, MatchesTheReferenceAtTheSizeEdges) {
+  util::RngStream rng(13);
+  // n = keep + 2: 3 x 11 = 33 terms compacted to 32 impulses (one merge).
+  {
+    const Pmf x = RandomPmf(rng, 3);
+    const Pmf y = RandomPmf(rng, 11);
+    const Pmf out = Convolve(x, y, 32);
+    EXPECT_EQ(out.size(), 32u);
+    EXPECT_EQ(out, ReferenceConvolve(x, y, 32));
+  }
+  // Fewer 8-gap blocks than boundaries: 6 x 8 = 48 terms (47 gaps, 6
+  // blocks) to 32 impulses, and 24 x 24 (575 gaps, 72 blocks) to 100.
+  for (const auto& [nx, ny, k] :
+       std::vector<std::tuple<std::size_t, std::size_t, std::size_t>>{
+           {6, 8, 32}, {24, 24, 100}, {5, 7, 33}}) {
+    const Pmf x = RandomPmf(rng, nx);
+    const Pmf y = RandomPmf(rng, ny);
+    EXPECT_EQ(Convolve(x, y, k), ReferenceConvolve(x, y, k))
+        << nx << "x" << ny << " k=" << k;
+  }
+}
+
+TEST(Convolve, MatchesTheReferenceWhenSumsCoalesce) {
+  // Small-integer supports: many sums collide exactly, so the kernel takes
+  // its coalesce path and selects among integer gaps full of ties.
+  util::RngStream rng(14);
+  for (int trial = 0; trial < 20; ++trial) {
+    const Pmf x = IntegerRandomPmf(rng, 16);
+    const Pmf y = IntegerRandomPmf(rng, 16);
+    for (const std::size_t k : {3u, 8u, 32u}) {
+      EXPECT_EQ(Convolve(x, y, k), ReferenceConvolve(x, y, k)) << "k=" << k;
+    }
+  }
+}
+
+TEST(Pmf, CompactMatchesTheReference) {
+  util::RngStream rng(15);
+  for (const std::size_t n : {40u, 256u, 1024u}) {
+    const Pmf pmf = RandomPmf(rng, n);
+    const std::vector<Impulse> impulses(pmf.impulses().begin(),
+                                        pmf.impulses().end());
+    for (const std::size_t k : {2u, 9u, 32u}) {
+      EXPECT_EQ(pmf.Compact(k),
+                Pmf::FromRawUnchecked(
+                    ReferenceCompact(impulses, k, std::nullopt)))
+          << "n=" << n << " k=" << k;
+    }
+  }
+}
+
+TEST(Convolve, RefusesAnOverflowedSupportBeforeCompacting) {
+  // Sums of values near DBL_MAX overflow to +inf; the 64-term product must
+  // be refused, not compacted around an infinite gap.
+  util::RngStream rng(16);
+  std::vector<double> big;
+  for (int i = 0; i < 8; ++i) big.push_back(1.0e307 * (1.0 + 2.0 * i));
+  const Pmf x = OnSupport(rng, big);
+  const Pmf y = OnSupport(rng, big);
+  EXPECT_THROW((void)Convolve(x, y, 32), std::invalid_argument);
+  EXPECT_THROW((void)Convolve(x, y, 100), std::invalid_argument);
 }
 
 TEST(ProbSumLeq, ExtremeThresholds) {

@@ -5,6 +5,7 @@ Usage:
     compare_bench.py BASELINE.json CURRENT.json [--tolerance X]
     compare_bench.py BASELINE.json CURRENT.json \
         --counter NAME [--min-ratio X] [--min-base X]
+    compare_bench.py --self-test
 
 Fails (exit 1) if any benchmark present in both files is more than
 ``tolerance`` times slower (ns_per_op) in CURRENT than in BASELINE.
@@ -24,11 +25,24 @@ The default tolerance is deliberately loose (3x): shared CI runners
 have noisy clocks and the gate exists to catch order-of-magnitude
 regressions (an accidental O(n^2), a dropped fast path), not 10% drift.
 Tighten locally with --tolerance when bisecting a real regression.
+
+The deterministic pmf-op counters (``OP_COUNTERS``: convolutions,
+compactions, truncations, ProbSumLeq calls and Gamma CDF evaluations per
+iteration) are gated exactly beside the clock: a row present in both
+files whose baseline value is an integer must report the same value.
+Fractional values (a hit/miss mix averaged over however many iterations
+the run chose, as in BM_ReadyPmf) only warn when they differ.
+``compare_bench.py --self-test`` checks this rule on synthetic reports.
 """
 
 import argparse
 import json
+import os
 import sys
+import tempfile
+
+OP_COUNTERS = ("convolve_ops", "compact_ops", "truncate_ops",
+               "prob_sum_leq_ops", "gamma_cdf_evals")
 
 
 def load_results(path):
@@ -39,10 +53,77 @@ def load_results(path):
     return {r["name"]: r for r in doc.get("results", [])}
 
 
-def main():
+def check_op_counters(base, cur, common):
+    """Exact gate on the deterministic op counters; returns failing rows."""
+    failures = []
+    for name in common:
+        b_counters = base[name].get("counters", {})
+        c_counters = cur[name].get("counters", {})
+        for key in OP_COUNTERS:
+            if key not in b_counters:
+                continue
+            b = b_counters[key]
+            c = c_counters.get(key)
+            if c is None:
+                print(f"WARNING: {name} has no counter {key!r}; skipped")
+            elif float(b).is_integer():
+                if c != b:
+                    failures.append(f"{name}:{key}")
+                    print(f"{name}: {key} {b:g} -> {c:g}  FAIL (exact)")
+            elif c != b:
+                print(f"WARNING: {name}: {key} {b:g} -> {c:g} "
+                      "(fractional, not gated)")
+    return failures
+
+
+def self_test():
+    """Runs the exact op-counter rule on synthetic reports."""
+    def report(rows):
+        return {"schema": "ecdra-bench v1", "suite": "self-test",
+                "results": [{"name": n, "iterations": 10, "ns_per_op": t,
+                             "counters": c} for n, t, c in rows]}
+
+    base = report([("exact", 100.0, {"convolve_ops": 3, "compact_ops": 2}),
+                   ("mix", 10.0, {"truncate_ops": 0.25})])
+    cases = [
+        ("identical counts pass", base, 0),
+        ("a changed integer count fails",
+         report([("exact", 100.0, {"convolve_ops": 4, "compact_ops": 2}),
+                 ("mix", 10.0, {"truncate_ops": 0.25})]), 1),
+        ("a changed fractional count warns",
+         report([("exact", 100.0, {"convolve_ops": 3, "compact_ops": 2}),
+                 ("mix", 10.0, {"truncate_ops": 0.3})]), 0),
+        ("the clock gate still fails past 3x",
+         report([("exact", 400.0, {"convolve_ops": 3, "compact_ops": 2}),
+                 ("mix", 10.0, {"truncate_ops": 0.25})]), 1),
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        base_path = os.path.join(tmp, "base.json")
+        with open(base_path, "w", encoding="utf-8") as fh:
+            json.dump(base, fh)
+        for label, current, expected in cases:
+            cur_path = os.path.join(tmp, "cur.json")
+            with open(cur_path, "w", encoding="utf-8") as fh:
+                json.dump(current, fh)
+            print(f"--- self-test: {label}")
+            status = main([base_path, cur_path])
+            if status != expected:
+                print(f"self-test FAILED: {label}: exit {status}, "
+                      f"expected {expected}")
+                return 1
+    print("self-test passed")
+    return 0
+
+
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("baseline")
-    parser.add_argument("current")
+    parser.add_argument("baseline", nargs="?")
+    parser.add_argument("current", nargs="?")
+    parser.add_argument(
+        "--self-test",
+        action="store_true",
+        help="check the exact op-counter gate on synthetic reports",
+    )
     parser.add_argument(
         "--tolerance",
         type=float,
@@ -67,7 +148,11 @@ def main():
         help="skip counter rows whose baseline value is below this "
         "(default: 1.0)",
     )
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
+    if args.self_test:
+        return self_test()
+    if args.baseline is None or args.current is None:
+        parser.error("BASELINE and CURRENT are required")
 
     base = load_results(args.baseline)
     cur = load_results(args.current)
@@ -130,13 +215,21 @@ def main():
             flag = f"  FAIL (> {args.tolerance:g}x)"
         print(f"{name:<{width}}  {b:>12.1f}  {c:>12.1f}  {ratio:5.2f}x{flag}")
 
+    op_failures = check_op_counters(base, cur, common)
     if failures:
         print(
             f"\n{len(failures)} benchmark(s) regressed beyond "
             f"{args.tolerance:g}x: {', '.join(failures)}"
         )
+    if op_failures:
+        print(
+            f"\n{len(op_failures)} op counter(s) changed: "
+            f"{', '.join(op_failures)}"
+        )
+    if failures or op_failures:
         return 1
-    print(f"\nall {len(common)} common benchmarks within {args.tolerance:g}x")
+    print(f"\nall {len(common)} common benchmarks within {args.tolerance:g}x, "
+          "op counters exact")
     return 0
 
 
